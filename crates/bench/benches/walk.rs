@@ -5,9 +5,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hk_graph::gen::holme_kim;
 use hkpr_core::push_plus::{hk_push_plus_ws, PushPlusConfig};
-use hkpr_core::walk::{fixed_length_walk, k_random_walk, run_batched_walks_kernel, WalkScratch};
+use hkpr_core::walk::{fixed_length_walk, k_random_walk, run_batched_walks, WalkScratch};
 use hkpr_core::workspace::EpochCounter;
-use hkpr_core::{AliasTable, PoissonTable, QueryWorkspace, WalkKernel};
+use hkpr_core::{AliasTable, PoissonTable, QueryWorkspace};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -73,43 +73,16 @@ fn bench_walks(c: &mut Criterion) {
             black_box(last)
         });
     });
-    // Chunk-kernel comparison: the PR-1 per-step stop test vs exact
-    // length presampling vs presampling + interleaved prefetching lanes.
-    for (name, kernel) in [
-        ("stepwise", WalkKernel::Stepwise),
-        ("presampled", WalkKernel::Presampled),
-        ("lanes", WalkKernel::Lanes),
-    ] {
-        let mut counts = EpochCounter::new();
-        let mut scratch = WalkScratch::default();
-        group.bench_with_input(BenchmarkId::new(name, 1usize), &kernel, |b, &kernel| {
-            b.iter(|| {
-                black_box(run_batched_walks_kernel(
-                    &graph,
-                    &poisson,
-                    &entries,
-                    &table,
-                    nr,
-                    9,
-                    1,
-                    kernel,
-                    None,
-                    &mut counts,
-                    &mut scratch,
-                ))
-            });
-        });
-    }
-    // The production kernel with walk-phase thread fan-out.
+    // The batched engine, inline and with walk-phase thread fan-out.
     for threads in [1usize, 4] {
         let mut counts = EpochCounter::new();
         let mut scratch = WalkScratch::default();
         group.bench_with_input(
-            BenchmarkId::new("lanes_threads", threads),
+            BenchmarkId::new("batched", threads),
             &threads,
             |b, &threads| {
                 b.iter(|| {
-                    black_box(run_batched_walks_kernel(
+                    black_box(run_batched_walks(
                         &graph,
                         &poisson,
                         &entries,
@@ -117,7 +90,6 @@ fn bench_walks(c: &mut Criterion) {
                         nr,
                         9,
                         threads,
-                        WalkKernel::Lanes,
                         None,
                         &mut counts,
                         &mut scratch,

@@ -11,16 +11,6 @@
 //!   (the serving configuration; acceptance gate is >= 2x the baseline);
 //! * `workspace_reuse_parallel4` — reuse + 4-thread batched walk fan-out.
 //!
-//! Walk-kernel variants (`walk_kernel` group; pure walk phase over a
-//! fixed TEA+-shaped residue entry set, no push/sweep):
-//!
-//! * `stepwise`   — the PR-1 batched engine (per-step stop draw +
-//!   rejection-sampled neighbor pick);
-//! * `presampled` — exact Poisson-tail length presampling + Lemire u32
-//!   neighbor picks;
-//! * `lanes`      — presampling + interleaved prefetching lanes (the
-//!   production kernel; acceptance gate is >= 1.5x `stepwise`).
-//!
 //! Usage: `cargo run --release -p hk-bench --bin bench_snapshot --
 //! [--out FILE] [--seeds N] [--reps N]`
 
@@ -29,12 +19,9 @@ use std::time::Instant;
 use hk_cluster::reference::sweep_estimate_reference;
 use hk_cluster::{LocalClusterer, Method, QueryScratch};
 use hk_graph::gen::holme_kim;
-use hkpr_core::push_plus::{hk_push_plus_ws, PushPlusConfig};
 use hkpr_core::reference::tea_plus_reference;
 use hkpr_core::tea_plus::TeaPlusOptions;
-use hkpr_core::walk::{run_batched_walks_kernel, WalkScratch};
-use hkpr_core::workspace::EpochCounter;
-use hkpr_core::{AliasTable, HkprParams, QueryWorkspace, WalkKernel};
+use hkpr_core::HkprParams;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -44,182 +31,6 @@ type VariantFn<'a> = Box<dyn FnMut(u32, u64) + 'a>;
 struct Variant {
     name: &'static str,
     avg_ms: f64,
-}
-
-/// Time the pure walk phase (no push, no sweep) for each chunk kernel on
-/// a TEA+-shaped residue entry set, best-of-`reps` interleaved passes.
-/// Returns `(nr, steps_per_walk, variants)`.
-fn walk_kernel_snapshot(
-    graph: &hk_graph::Graph,
-    params: &HkprParams,
-    reps: usize,
-) -> (u64, f64, Vec<Variant>) {
-    // Residue entries from a real HK-Push+ run — the same shape TEA+
-    // hands the walk engine (mixed hops, skewed weights).
-    let mut ws = QueryWorkspace::new();
-    let cfg = PushPlusConfig {
-        hop_cap: params.hop_cap(),
-        eps_abs: params.eps_abs(),
-        budget: u64::MAX,
-    };
-    hk_push_plus_ws(graph, params.poisson(), 0, &cfg, &mut ws);
-    let entries: Vec<(u32, u32)> = ws
-        .residues()
-        .entries()
-        .map(|(k, v, _)| (k as u32, v))
-        .collect();
-    let weights: Vec<f64> = ws.residues().entries().map(|(_, _, r)| r).collect();
-    let table = AliasTable::new(&weights);
-    let nr = 200_000u64;
-
-    let kernels = [
-        ("stepwise", WalkKernel::Stepwise),
-        ("presampled", WalkKernel::Presampled),
-        ("lanes", WalkKernel::Lanes),
-    ];
-    let mut counts = EpochCounter::new();
-    let mut scratch = WalkScratch::default();
-    let mut steps_per_walk = 0.0f64;
-    // Warm-up (also builds the Poisson length tables outside the timers).
-    for &(_, kernel) in &kernels {
-        let steps = run_batched_walks_kernel(
-            graph,
-            params.poisson(),
-            &entries,
-            &table,
-            nr,
-            1,
-            1,
-            kernel,
-            None,
-            &mut counts,
-            &mut scratch,
-        );
-        steps_per_walk = steps as f64 / nr as f64;
-    }
-    let mut best = [f64::INFINITY; 3];
-    for rep in 0..reps.max(1) {
-        for (vi, &(_, kernel)) in kernels.iter().enumerate() {
-            let t0 = Instant::now();
-            run_batched_walks_kernel(
-                graph,
-                params.poisson(),
-                &entries,
-                &table,
-                nr,
-                2 + rep as u64,
-                1,
-                kernel,
-                None,
-                &mut counts,
-                &mut scratch,
-            );
-            best[vi] = best[vi].min(t0.elapsed().as_secs_f64() * 1000.0);
-        }
-    }
-    let variants = kernels
-        .iter()
-        .zip(&best)
-        .map(|(&(name, _), &avg_ms)| Variant { name, avg_ms })
-        .collect();
-    (nr, steps_per_walk, variants)
-}
-
-/// A/B-time the two scan reductions the `simd` feature vectorizes —
-/// the push phase's residue threshold scan (through full HK-Push+ runs)
-/// and the sweep's conductance membership scan (through full phase-two
-/// sweeps of precomputed estimates) — with the vector bodies toggled via
-/// `set_simd_enabled` so both run in one binary on identical inputs.
-/// Results are bit-identical by construction (asserted on the sweep
-/// side); only the time moves. Scalar-only builds report one entry per
-/// group. Returns `(push variants, sweep variants)`.
-fn simd_snapshot(
-    graph: &hk_graph::Graph,
-    params: &HkprParams,
-    seeds: &[u32],
-    reps: usize,
-) -> (Vec<Variant>, Vec<Variant>) {
-    use hkpr_core::simd::{set_simd_enabled, simd_active, simd_compiled};
-    let cl = LocalClusterer::new(graph);
-    let cfg = PushPlusConfig {
-        hop_cap: params.hop_cap(),
-        eps_abs: params.eps_abs(),
-        budget: u64::MAX,
-    };
-    // Phase-one outputs computed once: the sweep group times phase two
-    // only, on identical inputs for both bodies.
-    let mut scratch = QueryScratch::new();
-    let pre: Vec<_> = seeds
-        .iter()
-        .enumerate()
-        .map(|(i, &s)| {
-            let (estimate, stats) = cl
-                .estimate_in(Method::TeaPlus, s, params, i as u64, &mut scratch.workspace)
-                .unwrap();
-            (s, estimate, stats)
-        })
-        .collect();
-
-    let modes: &[(&'static str, bool)] = if simd_compiled() && simd_active() {
-        &[("scalar", false), ("simd", true)]
-    } else {
-        &[("scalar", false)]
-    };
-    let mut push_best = vec![f64::INFINITY; modes.len()];
-    let mut sweep_best = vec![f64::INFINITY; modes.len()];
-    let mut push_ws = QueryWorkspace::new();
-    let mut reference: Vec<Option<hk_cluster::ClusterResult>> = vec![None; pre.len()];
-    // Pass 0 is an untimed warm-up; passes interleave the modes so host
-    // noise hits both alike, best-of-reps per mode.
-    for rep in 0..reps.max(1) + 1 {
-        for (mi, &(_, on)) in modes.iter().enumerate() {
-            set_simd_enabled(on);
-            let t0 = Instant::now();
-            for &s in seeds {
-                hk_push_plus_ws(graph, params.poisson(), s, &cfg, &mut push_ws);
-            }
-            let push_ms = t0.elapsed().as_secs_f64() * 1000.0 / seeds.len() as f64;
-            let t0 = Instant::now();
-            for (qi, (s, estimate, stats)) in pre.iter().enumerate() {
-                let result = cl.sweep_in(*s, estimate.clone(), *stats, &mut scratch);
-                match &reference[qi] {
-                    None => reference[qi] = Some(result),
-                    // The whole point of gating on order-free reductions:
-                    // toggling the vector body never moves a bit.
-                    Some(want) => assert!(
-                        result.bitwise_eq(want),
-                        "sweep diverged between scan bodies on seed {s}"
-                    ),
-                }
-            }
-            let sweep_ms = t0.elapsed().as_secs_f64() * 1000.0 / pre.len() as f64;
-            if rep > 0 {
-                push_best[mi] = push_best[mi].min(push_ms);
-                sweep_best[mi] = sweep_best[mi].min(sweep_ms);
-            }
-        }
-    }
-    set_simd_enabled(true);
-    let name = |group: &str, mode: &str| -> &'static str {
-        // Static names keep Variant simple; the matrix is tiny and fixed.
-        match (group, mode) {
-            ("push", "scalar") => "push_scalar",
-            ("push", "simd") => "push_simd",
-            ("sweep", "scalar") => "sweep_scalar",
-            _ => "sweep_simd",
-        }
-    };
-    let collect = |group: &str, best: &[f64]| {
-        modes
-            .iter()
-            .zip(best)
-            .map(|(&(mode, _), &avg_ms)| Variant {
-                name: name(group, mode),
-                avg_ms,
-            })
-            .collect()
-    };
-    (collect("push", &push_best), collect("sweep", &sweep_best))
 }
 
 fn main() {
@@ -317,9 +128,6 @@ fn main() {
         .map(|(&(name, _), &avg_ms)| Variant { name, avg_ms })
         .collect();
 
-    let (walk_nr, steps_per_walk, walk_variants) = walk_kernel_snapshot(&graph, &params, reps);
-    let (simd_push, simd_sweep) = simd_snapshot(&graph, &params, &seeds, reps);
-
     let baseline = variants[0].avg_ms;
     let mut json = String::new();
     json.push_str("{\n");
@@ -345,51 +153,7 @@ fn main() {
             if i + 1 < variants.len() { "," } else { "" }
         ));
     }
-    json.push_str("  ],\n");
-    json.push_str("  \"walk_kernel\": {\n");
-    json.push_str(&format!("    \"walks\": {walk_nr},\n"));
-    json.push_str(&format!(
-        "    \"avg_steps_per_walk\": {steps_per_walk:.3},\n"
-    ));
-    json.push_str("    \"variants\": [\n");
-    let walk_baseline = walk_variants[0].avg_ms;
-    for (i, v) in walk_variants.iter().enumerate() {
-        json.push_str(&format!(
-            "      {{ \"name\": \"{}\", \"ms_per_{}k_walks\": {:.4}, \"speedup_vs_stepwise\": {:.2} }}{}\n",
-            v.name,
-            walk_nr / 1000,
-            v.avg_ms,
-            walk_baseline / v.avg_ms,
-            if i + 1 < walk_variants.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("    ]\n  },\n");
-    // Scalar-vs-vector scan bodies (identical bits, different time). On a
-    // scalar-only build each group carries just the scalar entry.
-    json.push_str("  \"simd\": {\n");
-    json.push_str(&format!(
-        "    \"compiled\": {},\n    \"active\": {},\n",
-        hkpr_core::simd::simd_compiled(),
-        hkpr_core::simd::simd_active()
-    ));
-    for (gi, (group, variants)) in [("push", &simd_push), ("sweep", &simd_sweep)]
-        .iter()
-        .enumerate()
-    {
-        json.push_str(&format!("    \"{group}\": [\n"));
-        let scalar_ms = variants[0].avg_ms;
-        for (i, v) in variants.iter().enumerate() {
-            json.push_str(&format!(
-                "      {{ \"name\": \"{}\", \"avg_ms_per_query\": {:.4}, \"speedup_vs_scalar\": {:.2} }}{}\n",
-                v.name,
-                v.avg_ms,
-                scalar_ms / v.avg_ms,
-                if i + 1 < variants.len() { "," } else { "" }
-            ));
-        }
-        json.push_str(if gi == 0 { "    ],\n" } else { "    ]\n" });
-    }
-    json.push_str("  }\n}\n");
+    json.push_str("  ]\n}\n");
 
     std::fs::write(&out_path, &json).expect("write snapshot");
     print!("{json}");

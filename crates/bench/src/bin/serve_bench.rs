@@ -55,7 +55,7 @@
 //! over one committed snapshot, replays a walk-heavy TEA+ seed batch
 //! through a [`hk_shard::ShardCoordinator`] at each N, and records the
 //! scaling curve (replay seconds, QPS, speedup vs `N = 1`) next to the
-//! single-process `Presampled` reference. Bitwise conformance against
+//! single-process `run_batch` reference. Bitwise conformance against
 //! that reference is asserted at **every** N as part of the run — the
 //! scaling numbers are only meaningful if the answers are identical.
 //! Requires `hk-shardd` to be built first
@@ -75,11 +75,11 @@ use hk_cluster::{LocalClusterer, Method};
 use hk_gateway::{json::Json, Gateway, GatewayConfig};
 use hk_graph::Graph;
 use hk_serve::{
-    run_batch, run_batch_with_kernel, CacheOutcome, EngineConfig, Knobs, MultiEngine,
-    MultiEngineConfig, ParamsKey, QueryEngine, QueryRequest, ServeError,
+    run_batch, CacheOutcome, EngineConfig, Knobs, MultiEngine, MultiEngineConfig, ParamsKey,
+    QueryEngine, QueryRequest, ServeError,
 };
 use hk_shard::{QueryKnobs, ShardCoordinator};
-use hkpr_core::{HkprParams, WalkKernel};
+use hkpr_core::HkprParams;
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
@@ -1666,7 +1666,7 @@ struct ShardReport {
 /// [`ShardCoordinator`] through the full Begin/Exec/Step/Collect/Finish
 /// protocol, frontier-exchange rounds included. The seed batch uses
 /// walk-forcing knobs so every query runs a real distributed walk phase;
-/// bitwise conformance against the single-process `Presampled` reference
+/// bitwise conformance against the single-process `run_batch` reference
 /// is asserted at every N (the scaling numbers are meaningless if the
 /// answers differ, so conformance *is* part of the benchmark).
 fn bench_shard(id: DatasetId, datasets: &Datasets, queries: usize, smoke: bool) -> ShardReport {
@@ -1697,19 +1697,11 @@ fn bench_shard(id: DatasetId, datasets: &Datasets, queries: usize, smoke: bool) 
         seeds.push(cand);
     }
 
-    // Single-process reference and conformance oracle: the Presampled
-    // kernel runs the exact walk order the exchange plan distributes.
+    // Single-process reference and conformance oracle: the engine's own
+    // walk kernel runs the exact walk order the exchange plan distributes.
     let clusterer = LocalClusterer::new(&graph);
     let t0 = Instant::now();
-    let oracle = run_batch_with_kernel(
-        &clusterer,
-        Method::TeaPlus,
-        &seeds,
-        &params,
-        RNG_SEED,
-        1,
-        WalkKernel::Presampled,
-    );
+    let oracle = run_batch(&clusterer, Method::TeaPlus, &seeds, &params, RNG_SEED, 1);
     let single_process_s = t0.elapsed().as_secs_f64();
     let (mut walks_total, mut steps_total) = (0u64, 0u64);
     for r in &oracle {
@@ -1756,7 +1748,7 @@ fn bench_shard(id: DatasetId, datasets: &Datasets, queries: usize, smoke: bool) 
     if smoke {
         eprintln!(
             "shard smoke OK: {} queries x N in {{1,2,4}} bitwise-identical to the \
-             single-process Presampled reference ({walks_total} walks, {steps_total} steps)",
+             single-process run_batch reference ({walks_total} walks, {steps_total} steps)",
             seeds.len()
         );
     }

@@ -346,10 +346,9 @@ impl<'g> LocalClusterer<'g> {
     /// and stop at the walk boundary. Pairs with
     /// [`finalize_tea_plus`](Self::finalize_tea_plus); composing the two
     /// around a walk execution that deposits the same per-node endpoint
-    /// totals as the planned kernel reproduces
-    /// [`run_in`](Self::run_in)`(Method::TeaPlus, ..)` bitwise (for the
-    /// workspace's configured walk kernel). This is the seed-owning
-    /// shard's entry point.
+    /// totals as the planned walk phase reproduces
+    /// [`run_in`](Self::run_in)`(Method::TeaPlus, ..)` bitwise. This is
+    /// the seed-owning shard's entry point.
     pub fn prepare_tea_plus(
         &self,
         seed: NodeId,
@@ -563,7 +562,7 @@ mod tests {
 
     #[test]
     fn distributed_prepare_exchange_finalize_matches_run_in_bitwise() {
-        use hkpr_core::{DriveOutcome, ExchangeSession, TeaPlusPrepared, WalkKernel};
+        use hkpr_core::{DriveOutcome, ExchangeSession, TeaPlusPrepared};
 
         let pp = planted();
         let g = &pp.graph;
@@ -577,9 +576,6 @@ mod tests {
         let clusterer = LocalClusterer::new(g);
         for (seed, rng_seed) in [(0u32, 0u64), (17, 5), (63, 99)] {
             let mut oracle_scratch = QueryScratch::new();
-            oracle_scratch
-                .workspace
-                .set_walk_kernel(WalkKernel::Presampled);
             let want = clusterer
                 .run_in(
                     Method::TeaPlus,
@@ -591,7 +587,6 @@ mod tests {
                 .unwrap();
 
             let mut scratch = QueryScratch::new();
-            scratch.workspace.set_walk_kernel(WalkKernel::Presampled);
             let prepared = clusterer
                 .prepare_tea_plus(seed, &params, rng_seed, &mut scratch.workspace)
                 .unwrap();

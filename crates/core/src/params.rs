@@ -272,7 +272,7 @@ impl HkprParamsBuilder {
         }
         let p_f_prime = if sum <= 1.0 { self.p_f } else { self.p_f / sum };
 
-        Ok(HkprParams {
+        let params = HkprParams {
             t: self.t,
             eps_r: self.eps_r,
             delta,
@@ -282,7 +282,28 @@ impl HkprParamsBuilder {
             d_bar: self.d_bar,
             p_f_prime,
             poisson: PoissonTable::new(self.t),
-        })
+        };
+        // In-range knobs can still break the derived quantities: a tiny
+        // `eps_r * delta` underflows to zero or a subnormal (HK-Push+ needs
+        // a positive early-exit budget), and a tiny `eps_r^2 * delta`
+        // overflows `omega` (TEA's `rmax = 1/(omega t)` becomes zero).
+        if !params.eps_abs().is_normal() {
+            return Err(HkprError::InvalidParameter(format!(
+                "eps_r * delta must be a positive normal float, got {:e} * {delta:e} = {:e}",
+                self.eps_r,
+                params.eps_abs()
+            )));
+        }
+        if !(params.omega_tea().is_finite()
+            && params.omega_tea_plus().is_finite()
+            && params.rmax_default() > 0.0)
+        {
+            return Err(HkprError::InvalidParameter(format!(
+                "eps_r = {:e}, delta = {delta:e} overflow the walk-count coefficient omega",
+                self.eps_r
+            )));
+        }
+        Ok(params)
     }
 }
 
@@ -409,6 +430,30 @@ mod tests {
         assert!(HkprParams::builder(&g).p_f(1.0).build().is_err());
         assert!(HkprParams::builder(&g).c(0.0).build().is_err());
         assert!(HkprParams::builder(&Graph::empty(0)).build().is_err());
+    }
+
+    #[test]
+    fn underflowing_eps_abs_and_overflowing_omega_are_typed_errors() {
+        let g = small_graph();
+        // eps_r * delta underflows to 0: HK-Push+ would have no budget.
+        // eps_r = 1e-160 overflows omega to infinity (rmax = 0 for TEA).
+        // A subnormal delta does both.
+        for (eps_r, delta) in [(0.5, 5e-324), (1e-160, 0.25), (0.5, 1e-320)] {
+            match HkprParams::builder(&g).eps_r(eps_r).delta(delta).build() {
+                Err(HkprError::InvalidParameter(_)) => {}
+                other => panic!(
+                    "eps_r={eps_r:e} delta={delta:e}: expected InvalidParameter, got {other:?}"
+                ),
+            }
+        }
+        // The smallest knobs that keep every derived quantity finite
+        // still build.
+        let p = HkprParams::builder(&g)
+            .eps_r(1e-100)
+            .delta(1e-100)
+            .build()
+            .unwrap();
+        assert!(p.eps_abs().is_normal() && p.omega_tea_plus().is_finite());
     }
 
     #[test]

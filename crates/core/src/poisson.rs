@@ -120,7 +120,7 @@ impl LengthTables {
     }
 
     /// The length sampler for start hop `k`, or `None` beyond the Poisson
-    /// truncation (where a walk stops immediately). The walk kernels bind
+    /// truncation (where a walk stops immediately). The walk kernel binds
     /// this once per `(hop, node)` work group instead of re-resolving it
     /// per walk.
     #[inline]

@@ -298,9 +298,7 @@ pub enum PushStepOutcome {
 /// it equals the reference's hashmap-scan value exactly). Degrees ride
 /// in the slots (memoized by the kernel's adds), so the scan touches one
 /// array instead of two; the division form matches the reference's scan
-/// bit-for-bit. Delegates to [`crate::workspace::EpochVec`]'s scan, which
-/// carries an AVX2 body under the `simd` feature — bit-identical because
-/// a NaN-free max is reduction-order-free.
+/// bit-for-bit. Delegates to [`crate::workspace::EpochVec`]'s scan.
 fn live_hop_max(hop: &crate::workspace::EpochVec) -> f64 {
     hop.max_value_over_deg()
 }

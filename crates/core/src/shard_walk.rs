@@ -11,13 +11,12 @@
 //! step. Because parking is RNG-neutral and deposits are integer counts
 //! (merge-order-independent), the union of all shards' deposits is
 //! **bitwise identical** to a single-process
-//! [`crate::walk::WalkKernel::Presampled`] run of the same plan, for any
+//! [`crate::walk::run_batched_walks`] run of the same plan, for any
 //! partition whatsoever.
 //!
-//! The mirrored kernel is `Presampled` (strictly sequential per-walk RNG
-//! consumption), not the `Lanes` production kernel: lane interleaving
-//! feeds one `u64` draw to two walks at once, which cannot be split at a
-//! partition boundary without changing the stream.
+//! The cursor engine mirrors the production walk kernel draw for draw:
+//! that kernel consumes the RNG in strictly sequential per-walk order, so
+//! a walk can be cut at any step boundary without changing the stream.
 //!
 //! Ownership discipline: only `neighbor_flat_unchecked` reads — the
 //! adjacency-row loads — are partition-constrained. Offsets and degrees
@@ -33,7 +32,7 @@ use rand::Rng;
 use crate::alias::AliasTable;
 use crate::error::HkprError;
 use crate::poisson::{LengthTables, PoissonTable};
-use crate::walk::{chunk_rng, lemire_pick, plan_batched_walks_kernel, WalkKernel, WalkScratch};
+use crate::walk::{chunk_rng, lemire_pick, plan_batched_walks, WalkScratch};
 use crate::workspace::EpochCounter;
 
 /// Serializable execution state of one walk chunk. 56 bytes on the wire;
@@ -88,8 +87,8 @@ pub struct ExchangeSession<'g> {
 impl<'g> ExchangeSession<'g> {
     /// Build the session: replicate the walk plan (sampling all `nr`
     /// starts from the alias table over `weights`, chunking identically
-    /// to [`crate::walk::plan_batched_walks_kernel`] with the
-    /// `Presampled` kernel) and start an empty local deposit counter.
+    /// to the batched walk engine's planner) and start an empty local
+    /// deposit counter.
     pub fn new(
         graph: &'g Graph,
         poisson: &'g PoissonTable,
@@ -119,13 +118,12 @@ impl<'g> ExchangeSession<'g> {
         let table = AliasTable::try_new(weights)?;
         let mut counts = EpochCounter::new();
         let mut scratch = WalkScratch::default();
-        let plan = plan_batched_walks_kernel(
+        let plan = plan_batched_walks(
             graph,
             entries,
             &table,
             nr,
             master_seed,
-            WalkKernel::Presampled,
             None,
             &mut counts,
             &mut scratch,
@@ -180,7 +178,7 @@ impl<'g> ExchangeSession<'g> {
     }
 
     /// Step a cursor as far as this shard's ownership allows, mirroring
-    /// the `Presampled` kernel's RNG consumption exactly. Returns
+    /// the batched walk kernel's RNG consumption exactly. Returns
     /// [`DriveOutcome::Parked`] with the node whose adjacency row the
     /// next step needs (park happens *before* that step consumes RNG, so
     /// the handoff is invisible to the stream), or
@@ -321,7 +319,7 @@ impl<'g> ExchangeSession<'g> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::walk::run_batched_walks_kernel;
+    use crate::walk::run_batched_walks;
     use hk_graph::gen::holme_kim;
     use rand::{RngExt, SeedableRng};
 
@@ -400,7 +398,7 @@ mod tests {
         let table = AliasTable::try_new(weights).unwrap();
         let mut counts = EpochCounter::new();
         let mut scratch = WalkScratch::default();
-        let steps = run_batched_walks_kernel(
+        let steps = run_batched_walks(
             graph,
             poisson,
             entries,
@@ -408,7 +406,6 @@ mod tests {
             nr,
             master_seed,
             1,
-            WalkKernel::Presampled,
             None,
             &mut counts,
             &mut scratch,

@@ -36,9 +36,7 @@ use crate::push_plus::{
     PushStepControls, PushStepOutcome,
 };
 use crate::tea::TeaOutput;
-use crate::walk::{
-    plan_batched_walks_kernel, run_batched_walks_kernel, run_planned_walks_kernel, WalkCursor,
-};
+use crate::walk::{plan_batched_walks, run_batched_walks, run_planned_walks, WalkCursor};
 use crate::workspace::QueryWorkspace;
 
 /// Ablation switches for [`tea_plus_with_options`]. The defaults are the
@@ -204,9 +202,8 @@ pub fn tea_plus_with_options_in<R: Rng>(
             let table = AliasTable::try_new(&ws.weights)?;
             mass = alpha / nr as f64;
             let threads = ws.threads();
-            let kernel = ws.walk_kernel();
             let cancel = ws.cancel_token().cloned();
-            let steps = run_batched_walks_kernel(
+            let steps = run_batched_walks(
                 graph,
                 params.poisson(),
                 &ws.entries,
@@ -214,7 +211,6 @@ pub fn tea_plus_with_options_in<R: Rng>(
                 nr,
                 rng.next_u64(),
                 threads,
-                kernel,
                 cancel.as_ref(),
                 &mut ws.counts,
                 &mut ws.walk_scratch,
@@ -276,8 +272,8 @@ pub struct TeaPlusWalkJob {
 /// The push + residue-reduction half of [`tea_plus_with_options_in`],
 /// stopping right before the walk phase. Recomposing
 /// `prepare -> run walks -> finalize` on one process is bitwise identical
-/// to the monolithic call for the same starting RNG state and workspace
-/// walk kernel; the distributed engine replaces the middle step with
+/// to the monolithic call for the same starting RNG state; the
+/// distributed engine replaces the middle step with
 /// frontier-exchange rounds across shards.
 pub fn tea_plus_prepare<R: Rng>(
     graph: &Graph,
@@ -557,15 +553,13 @@ pub fn tea_plus_anytime_in<R: Rng>(
             let table = AliasTable::try_new(&ws.weights)?;
             let master_seed = rng.next_u64();
             let threads = ws.threads();
-            let kernel = ws.walk_kernel();
             let cancel = ws.cancel_token().cloned();
-            let plan = plan_batched_walks_kernel(
+            let plan = plan_batched_walks(
                 graph,
                 &ws.entries,
                 &table,
                 nr,
                 master_seed,
-                kernel,
                 cancel.as_ref(),
                 &mut ws.counts,
                 &mut ws.walk_scratch,
@@ -593,13 +587,12 @@ pub fn tea_plus_anytime_in<R: Rng>(
                         if cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
                             break;
                         }
-                        run_planned_walks_kernel(
+                        run_planned_walks(
                             graph,
                             params.poisson(),
                             &ws.entries,
                             master_seed,
                             threads,
-                            kernel,
                             cancel.as_ref(),
                             bound,
                             &mut cursor,
@@ -882,9 +875,9 @@ mod tests {
     #[test]
     fn prepare_finalize_recomposes_bitwise() {
         // prepare -> run walks locally -> finalize must be bitwise
-        // identical to the monolithic call, for both walk kernels — the
-        // invariant the sharded serving mode is built on.
-        use crate::walk::{run_batched_walks_kernel, WalkKernel, WalkScratch};
+        // identical to the monolithic call — the invariant the sharded
+        // serving mode is built on.
+        use crate::walk::{run_batched_walks, WalkScratch};
         use crate::workspace::EpochCounter;
         let mut gen_rng = SmallRng::seed_from_u64(21);
         let g = holme_kim(600, 5, 0.3, &mut gen_rng).unwrap();
@@ -895,76 +888,71 @@ mod tests {
             .p_f(1e-3)
             .build()
             .unwrap();
-        for kernel in [WalkKernel::Lanes, WalkKernel::Presampled] {
-            for seed in [0u32, 17, 233] {
-                let mut mono_ws = QueryWorkspace::new();
-                mono_ws.set_walk_kernel(kernel);
-                let mut rng = SmallRng::seed_from_u64(77);
-                let mono = tea_plus_with_options_in(
-                    &g,
-                    &params,
-                    seed,
-                    TeaPlusOptions::default(),
-                    &mut rng,
-                    &mut mono_ws,
-                )
-                .unwrap();
+        for seed in [0u32, 17, 233] {
+            let mut mono_ws = QueryWorkspace::new();
+            let mut rng = SmallRng::seed_from_u64(77);
+            let mono = tea_plus_with_options_in(
+                &g,
+                &params,
+                seed,
+                TeaPlusOptions::default(),
+                &mut rng,
+                &mut mono_ws,
+            )
+            .unwrap();
 
-                let mut ws = QueryWorkspace::new();
-                ws.set_walk_kernel(kernel);
-                let mut rng2 = SmallRng::seed_from_u64(77);
-                let prepared = tea_plus_prepare(
-                    &g,
-                    &params,
-                    seed,
-                    TeaPlusOptions::default(),
-                    &mut rng2,
-                    &mut ws,
-                )
-                .unwrap();
-                let out = match prepared {
-                    TeaPlusPrepared::Done(out) => out,
-                    TeaPlusPrepared::NeedWalks(job) => {
-                        let table = AliasTable::try_new(ws.walk_weights()).unwrap();
-                        let mut counts = EpochCounter::new();
-                        let mut scratch = WalkScratch::default();
-                        let steps = run_batched_walks_kernel(
-                            &g,
-                            params.poisson(),
-                            ws.walk_entries(),
-                            &table,
-                            job.nr,
-                            job.master_seed,
-                            1,
-                            kernel,
-                            None,
-                            &mut counts,
-                            &mut scratch,
-                        );
-                        let merged: Vec<_> = counts.iter().collect();
-                        tea_plus_finalize(
-                            &g,
-                            &params,
-                            TeaPlusOptions::default(),
-                            &job,
-                            &merged,
-                            steps,
-                            &mut ws,
-                        )
-                    }
-                };
-                assert_eq!(out.stats, mono.stats, "kernel {kernel:?} seed {seed}");
-                assert_eq!(
-                    out.estimate.offset_coeff().to_bits(),
-                    mono.estimate.offset_coeff().to_bits()
-                );
-                for v in 0..g.num_nodes() as u32 {
-                    assert_eq!(
-                        out.estimate.raw(v).to_bits(),
-                        mono.estimate.raw(v).to_bits(),
-                        "kernel {kernel:?} seed {seed} node {v}"
+            let mut ws = QueryWorkspace::new();
+            let mut rng2 = SmallRng::seed_from_u64(77);
+            let prepared = tea_plus_prepare(
+                &g,
+                &params,
+                seed,
+                TeaPlusOptions::default(),
+                &mut rng2,
+                &mut ws,
+            )
+            .unwrap();
+            let out = match prepared {
+                TeaPlusPrepared::Done(out) => out,
+                TeaPlusPrepared::NeedWalks(job) => {
+                    let table = AliasTable::try_new(ws.walk_weights()).unwrap();
+                    let mut counts = EpochCounter::new();
+                    let mut scratch = WalkScratch::default();
+                    let steps = run_batched_walks(
+                        &g,
+                        params.poisson(),
+                        ws.walk_entries(),
+                        &table,
+                        job.nr,
+                        job.master_seed,
+                        1,
+                        None,
+                        &mut counts,
+                        &mut scratch,
                     );
+                    let merged: Vec<_> = counts.iter().collect();
+                    tea_plus_finalize(
+                        &g,
+                        &params,
+                        TeaPlusOptions::default(),
+                        &job,
+                        &merged,
+                        steps,
+                        &mut ws,
+                    )
                 }
+            };
+            assert_eq!(out.stats, mono.stats, "seed {seed}");
+            assert_eq!(
+                out.estimate.offset_coeff().to_bits(),
+                mono.estimate.offset_coeff().to_bits()
+            );
+            for v in 0..g.num_nodes() as u32 {
+                assert_eq!(
+                    out.estimate.raw(v).to_bits(),
+                    mono.estimate.raw(v).to_bits(),
+                    "seed {seed} node {v}"
+                );
             }
         }
     }

@@ -8,20 +8,20 @@
 //! is exactly the quantity TEA/TEA+ need to convert residues into HKPR
 //! mass (Lemma 1). Lemma 4 bounds the expected walk length by `t`.
 //!
-//! # Kernel strategy
+//! # The batched kernel
 //!
 //! The per-step stop test is *mathematically removable*: the product of
 //! survival probabilities telescopes (`1 - eta(j)/psi(j) = psi(j+1)/psi(j)`),
 //! so a walk at hop `k` stops at hop `h` with probability `eta(h)/psi(k)`
 //! and its exact length can be drawn up front from a per-start-hop alias
-//! table ([`crate::poisson::LengthTables`]). The production kernel
-//! ([`WalkKernel::Lanes`]) presamples every length, then advances
-//! [`LANES`] walks in lockstep with each lane's next adjacency row
-//! software-prefetched one step ahead — the random CSR loads of different
-//! lanes overlap instead of serializing — and picks neighbors with a
-//! divisionless Lemire widening multiply on a single `u32` draw. The
-//! step-by-step kernel survives as [`WalkKernel::Stepwise`], the baseline
-//! of the statistical-agreement tests and the `walk_kernel` benchmarks.
+//! table ([`crate::poisson::LengthTables`]). The batched engine draws each
+//! walk's length, then steps it to the end with a divisionless Lemire
+//! widening multiply on one `u32` draw per step. Walks run one after the
+//! other, so RNG consumption is strictly sequential per walk — which is
+//! what lets [`crate::shard_walk`] park a walk at a partition boundary and
+//! resume it in another process bit-exactly. The step-by-step
+//! [`k_random_walk`] stays as the sequential oracle of the reference
+//! estimators and the statistical-agreement tests.
 
 use hk_graph::{Graph, NodeId};
 use rand::{Rng, RngExt};
@@ -80,10 +80,6 @@ pub fn fixed_length_walk<R: Rng + ?Sized>(
     cur
 }
 
-/// Flat per-chunk walk list `(start node, presampled length)` — the unit
-/// the presampling kernels execute.
-type WalkBuf = Vec<(NodeId, u32)>;
-
 /// Scratch buffers of the batched walk engine, owned by
 /// [`crate::workspace::QueryWorkspace`] so repeated queries reuse them.
 #[derive(Clone, Debug, Default)]
@@ -104,9 +100,6 @@ pub struct WalkScratch {
     chunk_walk_prefix: Vec<u64>,
     /// Per-worker endpoint accumulators for the parallel path.
     worker_counts: Vec<EpochCounter>,
-    /// Per-worker presampled-walk buffers (`(start, length)` per walk of
-    /// the chunk in flight, at most [`CHUNK_WALKS`] entries each).
-    lane_bufs: Vec<WalkBuf>,
 }
 
 impl WalkScratch {
@@ -122,11 +115,6 @@ impl WalkScratch {
                 .worker_counts
                 .iter()
                 .map(EpochCounter::memory_bytes)
-                .sum::<usize>()
-            + self
-                .lane_bufs
-                .iter()
-                .map(|b| b.capacity() * std::mem::size_of::<(NodeId, u32)>())
                 .sum::<usize>()
     }
 
@@ -162,11 +150,11 @@ impl WalkScratch {
 
 /// A planned (sampled + chunked) walk phase awaiting execution.
 ///
-/// Produced by [`plan_batched_walks_kernel`] / [`plan_batched_fixed_walks`];
+/// Produced by [`plan_batched_walks`] / [`plan_batched_fixed_walks`];
 /// executed — possibly in several chunk-prefix increments — by
-/// [`run_planned_walks_kernel`] / [`run_planned_fixed_walks`]. The plan's
-/// state (work items, chunk bounds, walk prefix) lives in the
-/// [`WalkScratch`] it was planned on and stays valid until the next plan.
+/// [`run_planned_walks`] / [`run_planned_fixed_walks`]. The plan's state
+/// (work items, chunk bounds, walk prefix) lives in the [`WalkScratch`]
+/// it was planned on and stays valid until the next plan.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct WalkPlan {
     /// Number of execution chunks.
@@ -196,39 +184,17 @@ pub(crate) struct WalkCursor {
 /// is a pure function of the sampled walk starts.
 const CHUNK_WALKS: u64 = 4096;
 
-/// Walks advanced in lockstep by [`WalkKernel::Lanes`]. Each lane's next
-/// adjacency row is prefetched one step ahead, so one round of the lane
-/// loop keeps up to `LANES` cache-line fills in flight; 8 covers typical
-/// DRAM latency at this loop's instruction count without spilling the
-/// lane state out of registers/L1.
-const LANES: usize = 8;
-
 use crate::alias::AliasTable;
 use crate::cancel::CancelToken;
 use crate::workspace::EpochCounter;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-/// Chunk-execution kernel selector for [`run_batched_walks_kernel`].
-/// Kernels differ in RNG consumption, so their outputs are different
-/// (equally distributed) samples — the statistical-agreement tests and
-/// the `walk_kernel` bench group quantify this.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WalkKernel {
-    /// The PR-1 baseline: one `f64` stop draw plus one rejection-sampled
-    /// neighbor pick per step.
-    Stepwise,
-    /// Exact length presampling from the Poisson-tail alias tables, then
-    /// a tight fixed-length loop with Lemire `u32` neighbor picks — zero
-    /// per-step stop draws.
-    Presampled,
-    /// Presampled lengths plus interleaved lane execution with adjacency
-    /// prefetch — the production default.
-    Lanes,
-}
+/// Per-chunk work function of the execution engine: runs absolute chunk
+/// `chunk_idx` into `sink` and returns `(steps walked, walks deposited)`.
+type ChunkFn<'a> = dyn Fn(usize, &mut EpochCounter) -> (u64, u32) + Sync + 'a;
 
-/// Batched `k-RandomWalk` execution (the walk phase of TEA / TEA+) with
-/// the production kernel ([`WalkKernel::Lanes`]).
+/// Batched `k-RandomWalk` execution (the walk phase of TEA / TEA+).
 ///
 /// The sequential reference interleaves one alias sample, one walk and one
 /// hash-map deposit per iteration. This engine restructures the phase:
@@ -238,14 +204,12 @@ pub enum WalkKernel {
 /// 2. **group walks by start entry** — every walk from the same `(hop,
 ///    node)` shares its first neighbor lookup's cache lines — and split
 ///    the grouped work into fixed-size chunks,
-/// 3. **presample every walk's exact length** per chunk (the stop-test
-///    product telescopes to `eta(h)/psi(k)`; see
-///    [`crate::poisson::LengthTables`]),
-/// 4. **run chunks** through the interleaved lane kernel with independent
-///    `SmallRng` streams derived from `master_seed`, depositing endpoints
-///    into dense epoch-stamped *counters* (integer, hence exactly
-///    mergeable),
-/// 5. optionally fan chunks across `threads` workers
+/// 3. **presample every walk's exact length** (the stop-test product
+///    telescopes to `eta(h)/psi(k)`; see [`crate::poisson::LengthTables`])
+///    and step it with independent per-chunk `SmallRng` streams derived
+///    from `master_seed`, depositing endpoints into dense epoch-stamped
+///    *counters* (integer, hence exactly mergeable),
+/// 4. optionally fan chunks across `threads` workers
 ///    (`std::thread::scope`, enabled by the `parallel` feature); the
 ///    result is bit-identical for every thread count because chunking and
 ///    RNG streams depend only on `master_seed` and counts merge exactly.
@@ -258,6 +222,9 @@ pub enum WalkKernel {
 /// partially-deposited counts are meaningless — the caller must check
 /// the token afterwards and discard the phase. An unfired token changes
 /// nothing (the checks are pure control flow).
+///
+/// A thin plan-then-run-everything wrapper over the resumable engine; the
+/// output is bit-identical to any tiered execution of the same plan.
 #[allow(clippy::too_many_arguments)]
 pub fn run_batched_walks(
     graph: &Graph,
@@ -271,46 +238,12 @@ pub fn run_batched_walks(
     counts: &mut EpochCounter,
     scratch: &mut WalkScratch,
 ) -> u64 {
-    run_batched_walks_kernel(
-        graph,
-        poisson,
-        entries,
-        table,
-        nr,
-        master_seed,
-        threads,
-        WalkKernel::Lanes,
-        cancel,
-        counts,
-        scratch,
-    )
-}
-
-/// [`run_batched_walks`] with an explicit chunk kernel — the entry point
-/// of the `walk_kernel` benchmarks and the kernel-agreement tests. A thin
-/// plan-then-run-everything wrapper over the resumable engine; the output
-/// is bit-identical to any tiered execution of the same plan.
-#[allow(clippy::too_many_arguments)]
-pub fn run_batched_walks_kernel(
-    graph: &Graph,
-    poisson: &PoissonTable,
-    entries: &[(u32, NodeId)],
-    table: &AliasTable,
-    nr: u64,
-    master_seed: u64,
-    threads: usize,
-    kernel: WalkKernel,
-    cancel: Option<&CancelToken>,
-    counts: &mut EpochCounter,
-    scratch: &mut WalkScratch,
-) -> u64 {
-    let Some(plan) = plan_batched_walks_kernel(
+    let Some(plan) = plan_batched_walks(
         graph,
         entries,
         table,
         nr,
         master_seed,
-        kernel,
         cancel,
         counts,
         scratch,
@@ -318,13 +251,12 @@ pub fn run_batched_walks_kernel(
         return 0;
     };
     let mut cursor = WalkCursor::default();
-    run_planned_walks_kernel(
+    run_planned_walks(
         graph,
         poisson,
         entries,
         master_seed,
         threads,
-        kernel,
         cancel,
         plan.num_chunks,
         &mut cursor,
@@ -339,18 +271,17 @@ pub fn run_batched_walks_kernel(
 /// without executing anything. Returns `None` if the cancel token fired
 /// during start sampling (the accumulator holds nothing yet).
 ///
-/// The plan is a pure function of `(entries, table, nr, master_seed,
-/// kernel)` — executing it in any sequence of chunk-prefix increments via
-/// [`run_planned_walks_kernel`] deposits bit-identically to a one-shot
-/// [`run_batched_walks_kernel`] call.
+/// The plan is a pure function of `(entries, table, nr, master_seed)` —
+/// executing it in any sequence of chunk-prefix increments via
+/// [`run_planned_walks`] deposits bit-identically to a one-shot
+/// [`run_batched_walks`] call.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn plan_batched_walks_kernel(
+pub(crate) fn plan_batched_walks(
     graph: &Graph,
     entries: &[(u32, NodeId)],
     table: &AliasTable,
     nr: u64,
     master_seed: u64,
-    kernel: WalkKernel,
     cancel: Option<&CancelToken>,
     counts: &mut EpochCounter,
     scratch: &mut WalkScratch,
@@ -376,29 +307,17 @@ pub(crate) fn plan_batched_walks_kernel(
         ..
     } = scratch;
 
-    // Phase 1: sample every walk start. The presampling kernels use the
-    // one-draw u32 path; Stepwise keeps the PR-1 two-draw sampling so the
-    // baseline stays byte-faithful for benchmarks.
+    // Phase 1: sample every walk start (one u64 draw each). The loop
+    // polls the token every 64Ki draws so a huge `nr` cannot delay
+    // cancellation until the chunk phase.
     start_counts.clear();
     start_counts.resize(entries.len(), 0);
-    let cancelled = || cancel.is_some_and(CancelToken::is_cancelled);
     let mut rng = SmallRng::seed_from_u64(master_seed);
-    // The sampling loop polls the token every 64Ki draws so a huge `nr`
-    // cannot delay cancellation until the chunk phase.
-    if kernel == WalkKernel::Stepwise {
-        for i in 0..nr {
-            if i & 0xFFFF == 0 && cancelled() {
-                return None;
-            }
-            start_counts[table.sample(&mut rng)] += 1;
+    for i in 0..nr {
+        if i & 0xFFFF == 0 && cancel.is_some_and(CancelToken::is_cancelled) {
+            return None;
         }
-    } else {
-        for i in 0..nr {
-            if i & 0xFFFF == 0 && cancelled() {
-                return None;
-            }
-            start_counts[table.sample_fast(&mut rng)] += 1;
-        }
+        start_counts[table.sample_fast(&mut rng)] += 1;
     }
 
     // Phase 2: group into work items and fixed-size chunks.
@@ -414,32 +333,62 @@ pub(crate) fn plan_batched_walks_kernel(
 }
 
 /// Execute planned chunks `[cursor.next_chunk, upto_chunk)` of the most
-/// recent [`plan_batched_walks_kernel`] on this scratch, advancing the
-/// cursor. Chunk RNG streams are keyed by absolute chunk index, so any
-/// prefix decomposition deposits bit-identically to a single full run.
-/// A fired cancel token makes remaining chunks skip (depositing nothing);
-/// the cursor's `walks_done` counts only chunks that actually ran, so the
+/// recent [`plan_batched_walks`] on this scratch, advancing the cursor.
+/// Chunk RNG streams are keyed by absolute chunk index, so any prefix
+/// decomposition deposits bit-identically to a single full run. A fired
+/// cancel token makes remaining chunks skip (depositing nothing); the
+/// cursor's `walks_done` counts only chunks that actually ran, so the
 /// partial deposits remain exactly normalizable.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_planned_walks_kernel(
+pub(crate) fn run_planned_walks(
     graph: &Graph,
     poisson: &PoissonTable,
     entries: &[(u32, NodeId)],
     master_seed: u64,
     threads: usize,
-    kernel: WalkKernel,
     cancel: Option<&CancelToken>,
     upto_chunk: usize,
     cursor: &mut WalkCursor,
     counts: &mut EpochCounter,
     scratch: &mut WalkScratch,
 ) {
+    let lengths = poisson.length_tables();
+    run_planned_chunks(
+        graph,
+        master_seed,
+        threads,
+        cancel,
+        upto_chunk,
+        cursor,
+        counts,
+        scratch,
+        |items, rng, sink| run_presampled(graph, entries, lengths, items, rng, sink),
+    );
+}
+
+/// Shared driver of [`run_planned_walks`] and [`run_planned_fixed_walks`]:
+/// run chunks `[cursor.next_chunk, upto_chunk)` of the scratch's plan,
+/// each through `walk_items` on its own RNG stream, then fold the chunks'
+/// progress into the cursor.
+#[allow(clippy::too_many_arguments)]
+fn run_planned_chunks<F>(
+    graph: &Graph,
+    master_seed: u64,
+    threads: usize,
+    cancel: Option<&CancelToken>,
+    upto_chunk: usize,
+    cursor: &mut WalkCursor,
+    counts: &mut EpochCounter,
+    scratch: &mut WalkScratch,
+    walk_items: F,
+) where
+    F: Fn(&[(u32, u64)], &mut SmallRng, &mut EpochCounter) -> u64 + Sync,
+{
     let WalkScratch {
         work,
         chunks,
         chunk_progress,
         worker_counts,
-        lane_bufs,
         ..
     } = scratch;
     let from = cursor.next_chunk;
@@ -449,47 +398,20 @@ pub(crate) fn run_planned_walks_kernel(
         return;
     }
 
-    let lengths = (kernel != WalkKernel::Stepwise).then(|| poisson.length_tables());
-    let stop_probs = poisson.stop_probs();
     let work = &*work;
     let chunks = &*chunks;
-    let run_chunk =
-        move |chunk_idx: usize, sink: &mut EpochCounter, buf: &mut WalkBuf| -> (u64, u32) {
-            // Chunk-boundary cancellation: skip the chunk's work entirely
-            // once the token fires (the walks are simply never deposited).
-            if cancel.is_some_and(CancelToken::is_cancelled) {
-                return (0, 0);
-            }
-            let (lo, hi) = chunks[chunk_idx];
-            let items = &work[lo as usize..hi as usize];
-            let walks: u64 = items.iter().map(|&(_, c)| c).sum();
-            let mut rng = chunk_rng(master_seed, chunk_idx as u64);
-            let steps = match kernel {
-                WalkKernel::Stepwise => {
-                    let mut steps = 0u64;
-                    for &(entry_idx, walk_count) in items {
-                        let (hop0, start) = entries[entry_idx as usize];
-                        for _ in 0..walk_count {
-                            let (end, s) =
-                                walk_dense(graph, stop_probs, start, hop0 as usize, &mut rng);
-                            sink.inc(end, 1);
-                            steps += s as u64;
-                        }
-                    }
-                    steps
-                }
-                WalkKernel::Presampled => {
-                    let lengths = lengths.expect("length tables resolved for presampling kernels");
-                    run_presampled(graph, entries, lengths, items, &mut rng, sink)
-                }
-                WalkKernel::Lanes => {
-                    let lengths = lengths.expect("length tables resolved for presampling kernels");
-                    fill_walk_buf(graph, entries, lengths, items, &mut rng, sink, buf);
-                    run_lanes(graph, buf, &mut rng, sink)
-                }
-            };
-            (steps, walks as u32)
-        };
+    let run_chunk = move |chunk_idx: usize, sink: &mut EpochCounter| -> (u64, u32) {
+        // Chunk-boundary cancellation: skip the chunk's work entirely
+        // once the token fires (the walks are simply never deposited).
+        if cancel.is_some_and(CancelToken::is_cancelled) {
+            return (0, 0);
+        }
+        let (lo, hi) = chunks[chunk_idx];
+        let items = &work[lo as usize..hi as usize];
+        let walks: u64 = items.iter().map(|&(_, c)| c).sum();
+        let mut rng = chunk_rng(master_seed, chunk_idx as u64);
+        (walk_items(items, &mut rng, sink), walks as u32)
+    };
 
     execute_chunk_range(
         from,
@@ -499,7 +421,6 @@ pub(crate) fn run_planned_walks_kernel(
         counts,
         chunk_progress,
         worker_counts,
-        lane_bufs,
         &run_chunk,
     );
     for &(steps, walks) in &chunk_progress[from..upto] {
@@ -510,10 +431,10 @@ pub(crate) fn run_planned_walks_kernel(
 }
 
 /// Run chunks `[from, upto)` inline or across workers. For a full-range
-/// call this partitions chunks exactly like the pre-refactor engine
-/// (`per_worker = span.div_ceil(threads)`, contiguous ranges, merged in
-/// worker order); for partial ranges the partition differs per call, which
-/// is invisible in the output because integer merges are exact.
+/// call this partitions chunks into contiguous ranges of
+/// `span.div_ceil(threads)`, merged in worker order; for partial ranges
+/// the partition differs per call, which is invisible in the output
+/// because integer merges are exact.
 #[allow(clippy::too_many_arguments)]
 fn execute_chunk_range(
     from: usize,
@@ -523,18 +444,13 @@ fn execute_chunk_range(
     counts: &mut EpochCounter,
     chunk_progress: &mut [(u64, u32)],
     worker_counts: &mut Vec<EpochCounter>,
-    lane_bufs: &mut Vec<WalkBuf>,
-    run_chunk: &(dyn Fn(usize, &mut EpochCounter, &mut WalkBuf) -> (u64, u32) + Sync),
+    run_chunk: &ChunkFn<'_>,
 ) {
     let span = upto - from;
     let threads = threads.max(1).min(span.max(1));
-    if lane_bufs.len() < threads {
-        lane_bufs.resize_with(threads, Vec::new);
-    }
     if threads <= 1 {
-        let buf = &mut lane_bufs[0];
         for (off, slot) in chunk_progress[from..upto].iter_mut().enumerate() {
-            *slot = run_chunk(from + off, counts, buf);
+            *slot = run_chunk(from + off, counts);
         }
         return;
     }
@@ -554,54 +470,11 @@ fn execute_chunk_range(
         from,
         per_worker,
         workers,
-        &mut lane_bufs[..threads],
         &mut chunk_progress[from..upto],
         run_chunk,
     );
     for w in workers.iter() {
         counts.merge_from(w);
-    }
-}
-
-/// Presample one chunk's *movable* walks into `buf`: per work group
-/// (shared `(hop, node)`), bind the hop's length table and the start
-/// row once, draw every walk's exact length (one `u64` each), and push
-/// `(start, length)` for the walks that will actually move. Walks that
-/// cannot move — zero sampled length, degree-0 start, or a start hop
-/// beyond the Poisson truncation — deposit into `sink` here, batched per
-/// group, without costing the lane kernel anything. Degree-0 and
-/// beyond-truncation groups consume no RNG at all (their outcome does not
-/// depend on it); the consumption rule is a fixed function of the work
-/// list, so chunk streams stay pure functions of `(master_seed, chunk)`.
-fn fill_walk_buf(
-    graph: &Graph,
-    entries: &[(u32, NodeId)],
-    lengths: &LengthTables,
-    items: &[(u32, u64)],
-    rng: &mut SmallRng,
-    sink: &mut EpochCounter,
-    buf: &mut WalkBuf,
-) {
-    buf.clear();
-    for &(entry_idx, walk_count) in items {
-        let (hop0, start) = entries[entry_idx as usize];
-        let (table, deg) = (lengths.table(hop0 as usize), graph.degree(start));
-        let Some(table) = table.filter(|_| deg > 0) else {
-            sink.inc(start, walk_count);
-            continue;
-        };
-        let mut immediate = 0u64;
-        for _ in 0..walk_count {
-            let len = table.sample(rng);
-            if len == 0 {
-                immediate += 1;
-            } else {
-                buf.push((start, len as u32));
-            }
-        }
-        if immediate > 0 {
-            sink.inc(start, immediate);
-        }
     }
 }
 
@@ -612,12 +485,47 @@ pub(crate) fn lemire_pick(r: u32, deg: u32) -> usize {
     ((r as u64 * deg as u64) >> 32) as usize
 }
 
-/// Execute presampled walks one at a time, fused with the length draw —
-/// the lane kernel minus the interleaving, isolated so benchmarks can
-/// price the lanes separately. Per work group the hop's length table and
-/// the start's row/degree are resolved once; zero-length, degree-0 and
-/// beyond-truncation walks batch-deposit exactly like
-/// [`fill_walk_buf`].
+/// Step one walk of presampled length `len >= 1` from `start`, whose row
+/// `(row0, deg0)` is already resolved with `deg0 > 0`. One `u32` draw per
+/// step; a degree-0 node absorbs the walk (its remaining length is spent
+/// in place). Returns the endpoint and the steps taken.
+#[inline(always)]
+fn walk_presampled(
+    graph: &Graph,
+    start: NodeId,
+    (row0, deg0): (usize, u32),
+    len: u32,
+    rng: &mut SmallRng,
+) -> (NodeId, u64) {
+    let (mut row, mut deg) = (row0, deg0);
+    let mut node = start;
+    let mut steps = 0u64;
+    for _ in 0..len {
+        let idx = lemire_pick(rng.next_u32(), deg);
+        // SAFETY: idx < deg, so row + idx is inside node's row.
+        node = unsafe { graph.neighbor_flat_unchecked(row + idx) };
+        steps += 1;
+        // SAFETY: node was read out of the CSR arrays (< n).
+        let (nrow, ndeg) = unsafe { graph.neighbor_row_unchecked(node) };
+        if ndeg == 0 {
+            break; // absorbed; remaining length is spent in place
+        }
+        row = nrow;
+        deg = ndeg;
+    }
+    (node, steps)
+}
+
+/// Execute one chunk's work items: per work group (shared `(hop, node)`)
+/// bind the hop's length table and the start's row once, then draw each
+/// walk's exact length (one `u64`) and step it to the end. Walks that
+/// cannot move — zero sampled length, degree-0 start, or a start hop
+/// beyond the Poisson truncation — batch-deposit at the start. Degree-0
+/// and beyond-truncation groups consume no RNG at all (their outcome does
+/// not depend on it); the consumption rule is a fixed function of the
+/// work list, so chunk streams stay pure functions of
+/// `(master_seed, chunk)`. [`crate::shard_walk`] mirrors this traversal
+/// order draw for draw.
 fn run_presampled(
     graph: &Graph,
     entries: &[(u32, NodeId)],
@@ -629,8 +537,8 @@ fn run_presampled(
     let mut steps = 0u64;
     for &(entry_idx, walk_count) in items {
         let (hop0, start) = entries[entry_idx as usize];
-        let (row0, deg0) = graph.neighbor_row(start);
-        let Some(table) = lengths.table(hop0 as usize).filter(|_| deg0 > 0) else {
+        let row = graph.neighbor_row(start);
+        let Some(table) = lengths.table(hop0 as usize).filter(|_| row.1 > 0) else {
             sink.inc(start, walk_count);
             continue;
         };
@@ -641,136 +549,12 @@ fn run_presampled(
                 immediate += 1;
                 continue;
             }
-            let (mut row, mut deg) = (row0, deg0);
-            let mut node = start;
-            for _ in 0..len {
-                let idx = lemire_pick(rng.next_u32(), deg);
-                // SAFETY: idx < deg, so row + idx is inside node's row.
-                node = unsafe { graph.neighbor_flat_unchecked(row + idx) };
-                steps += 1;
-                // SAFETY: node was read out of the CSR arrays (< n).
-                let (nrow, ndeg) = unsafe { graph.neighbor_row_unchecked(node) };
-                if ndeg == 0 {
-                    break; // absorbed; remaining length is spent in place
-                }
-                row = nrow;
-                deg = ndeg;
-            }
-            sink.inc(node, 1);
+            let (end, s) = walk_presampled(graph, start, row, len as u32, rng);
+            sink.inc(end, 1);
+            steps += s;
         }
         if immediate > 0 {
             sink.inc(start, immediate);
-        }
-    }
-    steps
-}
-
-/// The interleaved lane kernel: advance up to [`LANES`] presampled walks
-/// in lockstep, refilling finished lanes from the pending list (every
-/// pending walk is movable — [`fill_walk_buf`] already deposited the
-/// rest). Each round runs two sweeps over the live lanes:
-///
-/// * **pick** — draw the neighbor index, load the next node from the
-///   adjacency row (prefetched one round ago) and prefetch that node's
-///   *offsets* line;
-/// * **advance** — resolve the next node's row (offsets now hot),
-///   prefetch its *adjacency* line for the following round, and deposit
-///   / refill finished lanes, compacting so dead lanes are never
-///   scanned.
-///
-/// Both random loads of a step are therefore issued ahead of use, and up
-/// to `LANES` of them are in flight at once — the memory latency of one
-/// lane's dependent load chain is overlapped with the other lanes' work
-/// instead of stalling the walk.
-fn run_lanes(
-    graph: &Graph,
-    walks: &[(NodeId, u32)],
-    rng: &mut SmallRng,
-    sink: &mut EpochCounter,
-) -> u64 {
-    let mut steps = 0u64;
-    let mut cursor = 0usize;
-    // Lane state: current row start, degree, remaining steps, and the
-    // node picked by the current round's first sweep. Lanes 0..live are
-    // live; finished lanes are refilled in place or compacted away.
-    let mut row = [0usize; LANES];
-    let mut deg = [0u32; LANES];
-    let mut rem = [0u32; LANES];
-    let mut nxt = [0 as NodeId; LANES];
-    let mut live = 0usize;
-
-    while live < LANES && cursor < walks.len() {
-        let (start, len) = walks[cursor];
-        cursor += 1;
-        let (r0, d0) = graph.neighbor_row(start);
-        row[live] = r0;
-        deg[live] = d0;
-        rem[live] = len;
-        graph.prefetch_neighbor_row(r0);
-        live += 1;
-    }
-
-    while live > 0 {
-        // Sweep 1: pick every live lane's next node; prefetch its
-        // offsets line for sweep 2. One u64 draw feeds two lanes (each
-        // pick needs only 32 bits), halving the RNG cost of the sweep.
-        let mut i = 0;
-        while i + 1 < live {
-            let r = rng.next_u64();
-            let idx_hi = lemire_pick((r >> 32) as u32, deg[i]);
-            let idx_lo = lemire_pick(r as u32, deg[i + 1]);
-            // SAFETY: each idx < its lane's degree, so the flat indices
-            // stay inside their rows.
-            let a = unsafe { graph.neighbor_flat_unchecked(row[i] + idx_hi) };
-            let b = unsafe { graph.neighbor_flat_unchecked(row[i + 1] + idx_lo) };
-            nxt[i] = a;
-            nxt[i + 1] = b;
-            graph.prefetch_node(a);
-            graph.prefetch_node(b);
-            i += 2;
-        }
-        if i < live {
-            let idx = lemire_pick(rng.next_u32(), deg[i]);
-            // SAFETY: idx < deg[i], so row[i] + idx is inside the row.
-            let n = unsafe { graph.neighbor_flat_unchecked(row[i] + idx) };
-            nxt[i] = n;
-            graph.prefetch_node(n);
-        }
-        steps += live as u64;
-        // Sweep 2: resolve rows, finish / refill / compact lanes.
-        let mut i = 0;
-        while i < live {
-            rem[i] -= 1;
-            // SAFETY: nxt[i] was read out of the CSR arrays (< n).
-            let (nrow, ndeg) = unsafe { graph.neighbor_row_unchecked(nxt[i]) };
-            if rem[i] == 0 || ndeg == 0 {
-                // Finished, or absorbed at a degree-0 node.
-                sink.inc(nxt[i], 1);
-                if cursor < walks.len() {
-                    let (start, len) = walks[cursor];
-                    cursor += 1;
-                    let (r0, d0) = graph.neighbor_row(start);
-                    row[i] = r0;
-                    deg[i] = d0;
-                    rem[i] = len;
-                    graph.prefetch_neighbor_row(r0);
-                    i += 1;
-                } else {
-                    // Compact: move the last live lane down. It has had
-                    // this round's pick but not its advance, so do NOT
-                    // bump `i` — the moved lane is processed next.
-                    live -= 1;
-                    row[i] = row[live];
-                    deg[i] = deg[live];
-                    rem[i] = rem[live];
-                    nxt[i] = nxt[live];
-                }
-            } else {
-                row[i] = nrow;
-                deg[i] = ndeg;
-                graph.prefetch_neighbor_row(nrow);
-                i += 1;
-            }
         }
     }
     steps
@@ -827,21 +611,19 @@ fn run_chunks_parallel(
     base: usize,
     per_worker: usize,
     workers: &mut [EpochCounter],
-    bufs: &mut [WalkBuf],
     chunk_progress: &mut [(u64, u32)],
-    run_chunk: &(dyn Fn(usize, &mut EpochCounter, &mut WalkBuf) -> (u64, u32) + Sync),
+    run_chunk: &ChunkFn<'_>,
 ) {
     std::thread::scope(|scope| {
-        for (worker_idx, ((sink, buf), slots)) in workers
+        for (worker_idx, (sink, slots)) in workers
             .iter_mut()
-            .zip(bufs.iter_mut())
             .zip(chunk_progress.chunks_mut(per_worker))
             .enumerate()
         {
             let first = base + worker_idx * per_worker;
             scope.spawn(move || {
                 for (off, slot) in slots.iter_mut().enumerate() {
-                    *slot = run_chunk(first + off, sink, buf);
+                    *slot = run_chunk(first + off, sink);
                 }
             });
         }
@@ -855,28 +637,27 @@ fn run_chunks_parallel(
     base: usize,
     per_worker: usize,
     workers: &mut [EpochCounter],
-    bufs: &mut [WalkBuf],
     chunk_progress: &mut [(u64, u32)],
-    run_chunk: &(dyn Fn(usize, &mut EpochCounter, &mut WalkBuf) -> (u64, u32) + Sync),
+    run_chunk: &ChunkFn<'_>,
 ) {
-    for (worker_idx, ((sink, buf), slots)) in workers
+    for (worker_idx, (sink, slots)) in workers
         .iter_mut()
-        .zip(bufs.iter_mut())
         .zip(chunk_progress.chunks_mut(per_worker))
         .enumerate()
     {
         let first = base + worker_idx * per_worker;
         for (off, slot) in slots.iter_mut().enumerate() {
-            *slot = run_chunk(first + off, sink, buf);
+            *slot = run_chunk(first + off, sink);
         }
     }
 }
 
 /// Batched fixed-length walks — the Monte-Carlo walk phase. Walk lengths
 /// were already sampled into `length_counts[len] = multiplicity`; all
-/// walks start at `seed` and run through the interleaved lane kernel.
-/// Endpoint multiplicities land in `counts`; returns nothing extra (steps
-/// are `sum(len * count)`, computed by the caller exactly).
+/// walks start at `seed` and run through the same sequential stepping
+/// loop as [`run_batched_walks`]. Endpoint multiplicities land in
+/// `counts`; returns nothing extra (steps are `sum(len * count)`,
+/// computed by the caller exactly).
 #[allow(clippy::too_many_arguments)]
 pub fn run_batched_fixed_walks(
     graph: &Graph,
@@ -937,7 +718,7 @@ pub(crate) fn plan_batched_fixed_walks(
 
 /// Execute planned chunks `[cursor.next_chunk, upto_chunk)` of the most
 /// recent [`plan_batched_fixed_walks`] on this scratch, advancing the
-/// cursor. Same resumability contract as [`run_planned_walks_kernel`].
+/// cursor. Same resumability contract as [`run_planned_walks`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_planned_fixed_walks(
     graph: &Graph,
@@ -950,63 +731,33 @@ pub(crate) fn run_planned_fixed_walks(
     counts: &mut EpochCounter,
     scratch: &mut WalkScratch,
 ) {
-    let WalkScratch {
-        work,
-        chunks,
-        chunk_progress,
-        worker_counts,
-        lane_bufs,
-        ..
-    } = scratch;
-    let from = cursor.next_chunk;
-    let upto = upto_chunk.min(chunks.len());
-    if from >= upto {
-        cursor.next_chunk = cursor.next_chunk.max(upto);
-        return;
-    }
-
-    let work = &*work;
-    let chunks = &*chunks;
-    let seed_degree = graph.degree(seed);
-    let run_chunk =
-        move |chunk_idx: usize, sink: &mut EpochCounter, buf: &mut WalkBuf| -> (u64, u32) {
-            if cancel.is_some_and(CancelToken::is_cancelled) {
-                return (0, 0);
-            }
-            let (lo, hi) = chunks[chunk_idx];
-            let items = &work[lo as usize..hi as usize];
-            let walks: u64 = items.iter().map(|&(_, c)| c).sum();
-            let mut rng = chunk_rng(master_seed, chunk_idx as u64);
-            buf.clear();
+    let row = graph.neighbor_row(seed);
+    run_planned_chunks(
+        graph,
+        master_seed,
+        threads,
+        cancel,
+        upto_chunk,
+        cursor,
+        counts,
+        scratch,
+        |items, rng, sink| {
+            let mut steps = 0u64;
             for &(len, walk_count) in items {
-                if len == 0 || seed_degree == 0 {
-                    // Immobile walks deposit at the seed without lane cost.
+                if len == 0 || row.1 == 0 {
+                    // Immobile walks deposit at the seed without RNG cost.
                     sink.inc(seed, walk_count);
-                } else {
-                    for _ in 0..walk_count {
-                        buf.push((seed, len));
-                    }
+                    continue;
+                }
+                for _ in 0..walk_count {
+                    let (end, s) = walk_presampled(graph, seed, row, len, rng);
+                    sink.inc(end, 1);
+                    steps += s;
                 }
             }
-            (run_lanes(graph, buf, &mut rng, sink), walks as u32)
-        };
-
-    execute_chunk_range(
-        from,
-        upto,
-        threads,
-        graph.num_nodes(),
-        counts,
-        chunk_progress,
-        worker_counts,
-        lane_bufs,
-        &run_chunk,
+            steps
+        },
     );
-    for &(steps, walks) in &chunk_progress[from..upto] {
-        cursor.steps += steps;
-        cursor.walks_done += walks as u64;
-    }
-    cursor.next_chunk = upto;
 }
 
 /// Independent RNG stream for one chunk (SplitMix64 expansion inside
@@ -1016,34 +767,6 @@ pub(crate) fn chunk_rng(master_seed: u64, chunk_idx: u64) -> SmallRng {
     SmallRng::seed_from_u64(
         master_seed ^ (chunk_idx.wrapping_add(1)).wrapping_mul(0x9E37_79B9_7F4A_7C15),
     )
-}
-
-/// `k-RandomWalk` against a dense stop-probability slice (index >= len
-/// means certain stop) — the inner loop of the [`WalkKernel::Stepwise`]
-/// baseline. Semantics match [`k_random_walk`].
-#[inline]
-fn walk_dense<R: Rng + ?Sized>(
-    graph: &Graph,
-    stop_probs: &[f64],
-    start: NodeId,
-    k: usize,
-    rng: &mut R,
-) -> (NodeId, u32) {
-    let mut cur = start;
-    let mut hop = k;
-    let mut steps = 0u32;
-    loop {
-        if hop >= stop_probs.len() || rng.random::<f64>() < stop_probs[hop] {
-            return (cur, steps);
-        }
-        let d = graph.degree(cur);
-        if d == 0 {
-            return (cur, steps);
-        }
-        cur = graph.neighbor_at(cur, rng.random_range(0..d));
-        hop += 1;
-        steps += 1;
-    }
 }
 
 #[cfg(test)]
@@ -1126,22 +849,21 @@ mod tests {
         assert_eq!(fixed_length_walk(&g, 2, 17, &mut rng), 2);
     }
 
-    /// Run `nr` walks from `(start, k)` through a chosen kernel of the
-    /// batched engine and return the endpoint frequencies.
-    fn kernel_distribution(
+    /// Run `nr` walks from `(start, k)` through the batched engine and
+    /// return the endpoint frequencies.
+    fn batched_distribution(
         g: &Graph,
         p: &PoissonTable,
         start: NodeId,
         k: u32,
         nr: u64,
-        kernel: WalkKernel,
         master_seed: u64,
     ) -> Vec<f64> {
         let entries = [(k, start)];
         let table = AliasTable::new(&[1.0]);
         let mut counts = EpochCounter::new();
         let mut scratch = WalkScratch::default();
-        run_batched_walks_kernel(
+        run_batched_walks(
             g,
             p,
             &entries,
@@ -1149,7 +871,6 @@ mod tests {
             nr,
             master_seed,
             1,
-            kernel,
             None,
             &mut counts,
             &mut scratch,
@@ -1193,10 +914,8 @@ mod tests {
     fn lemma_2_distribution_on_path() {
         // Path 0 - 1 - 2. h_u^(k)[v] computed by hand for k far beyond the
         // mode is concentrated at u (stop_prob ~ 1); near 0 it spreads.
-        // Every kernel — the per-step stop test and both presampling
-        // variants — must reproduce the exact backward-recursion
-        // distribution; this is the statistical conformance gate of the
-        // length-presampling rewrite.
+        // Both the per-step stop test and the batched length-presampling
+        // engine must reproduce the exact backward-recursion distribution.
         let g = graph_from_edges([(0, 1), (1, 2)]);
         let p = PoissonTable::new(2.0);
         let n = 100_000usize;
@@ -1218,24 +937,18 @@ mod tests {
             );
         }
 
-        // All three batched kernels, from several start hops.
-        for kernel in [
-            WalkKernel::Stepwise,
-            WalkKernel::Presampled,
-            WalkKernel::Lanes,
-        ] {
-            for k in [0u32, 1, 2] {
-                let freq = kernel_distribution(&g, &p, 1, k, n as u64, kernel, 99 + k as u64);
-                // exact_h above is h^(0); recompute for start hop k by
-                // re-running the backward recursion only down to level k.
-                let expect = exact_h_at_hop(&g, &p, k as usize);
-                for (v, &got) in freq.iter().enumerate() {
-                    assert!(
-                        (got - expect[1][v]).abs() < 0.01,
-                        "{kernel:?} k={k} v={v}: empirical {got} vs exact {}",
-                        expect[1][v]
-                    );
-                }
+        // The batched engine, from several start hops.
+        for k in [0u32, 1, 2] {
+            let freq = batched_distribution(&g, &p, 1, k, n as u64, 99 + k as u64);
+            // exact_h above is h^(0); recompute for start hop k by
+            // re-running the backward recursion only down to level k.
+            let expect = exact_h_at_hop(&g, &p, k as usize);
+            for (v, &got) in freq.iter().enumerate() {
+                assert!(
+                    (got - expect[1][v]).abs() < 0.01,
+                    "k={k} v={v}: empirical {got} vs exact {}",
+                    expect[1][v]
+                );
             }
         }
     }
@@ -1270,30 +983,24 @@ mod tests {
 
     #[test]
     fn presampling_kernels_handle_absorbing_and_out_of_table_starts() {
-        // Degree-0 start: every kernel deposits the walk at the start.
+        // Degree-0 start: the walk deposits at the start.
         let mut b = hk_graph::GraphBuilder::new();
         b.add_edge(0, 1);
         b.ensure_nodes(3);
         let g = b.build();
         let p = PoissonTable::new(5.0);
-        for kernel in [
-            WalkKernel::Stepwise,
-            WalkKernel::Presampled,
-            WalkKernel::Lanes,
-        ] {
-            let freq = kernel_distribution(&g, &p, 2, 0, 500, kernel, 7);
-            assert_eq!(freq[2], 1.0, "{kernel:?}: degree-0 start must absorb");
-            // Start hop beyond the table: immediate stop at the start.
-            let freq = kernel_distribution(&g, &p, 0, (p.k_max() + 5) as u32, 500, kernel, 8);
-            assert_eq!(freq[0], 1.0, "{kernel:?}: out-of-table start must stop");
-        }
+        let freq = batched_distribution(&g, &p, 2, 0, 500, 7);
+        assert_eq!(freq[2], 1.0, "degree-0 start must absorb");
+        // Start hop beyond the table: immediate stop at the start.
+        let freq = batched_distribution(&g, &p, 0, (p.k_max() + 5) as u32, 500, 8);
+        assert_eq!(freq[0], 1.0, "out-of-table start must stop");
     }
 
     #[test]
     fn walk_scratch_memory_grows_then_releases() {
         // The serve cache budgets against QueryWorkspace::memory_bytes,
-        // which folds in this scratch — the lane/length buffers must be
-        // visible to it and release() must return to the baseline.
+        // which folds in this scratch — the plan and per-worker buffers
+        // must be visible to it and release() must return to the baseline.
         let mut gen_rng = SmallRng::seed_from_u64(40);
         let g = hk_graph::gen::holme_kim(2_000, 5, 0.3, &mut gen_rng).unwrap();
         let p = PoissonTable::new(5.0);
@@ -1320,10 +1027,10 @@ mod tests {
             grown > baseline,
             "scratch must account for walk buffers: {grown} vs {baseline}"
         );
-        // The presampled-walk buffer for a full chunk must be visible.
+        // Two workers ran, each with a counter spanning every node.
         assert!(
-            grown >= CHUNK_WALKS as usize * std::mem::size_of::<(NodeId, u32)>(),
-            "lane buffers unaccounted: {grown}"
+            grown >= 2 * g.num_nodes() * std::mem::size_of::<u64>(),
+            "per-worker counters unaccounted: {grown}"
         );
         scratch.release();
         assert_eq!(scratch.memory_bytes(), baseline);

@@ -17,11 +17,10 @@ use hkpr_core::push_plus::{hk_push_plus, hk_push_plus_ws, PushPlusConfig};
 use hkpr_core::reference::{monte_carlo_reference, tea_plus_reference, tea_reference};
 use hkpr_core::tea::tea_in;
 use hkpr_core::tea_plus::{tea_plus_in, tea_plus_with_options_in, TeaPlusOptions};
-use hkpr_core::walk::{run_batched_walks_kernel, WalkScratch};
+use hkpr_core::walk::{k_random_walk, run_batched_walks, WalkScratch};
 use hkpr_core::workspace::EpochCounter;
 use hkpr_core::{
     exact_hkpr, monte_carlo_in, AliasTable, HkprParams, PoissonTable, QueryWorkspace, TeaOutput,
-    WalkKernel,
 };
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -402,75 +401,54 @@ fn walk_entry_fixture(n: usize) -> (Graph, PoissonTable, Vec<(u32, u32)>, AliasT
     (g, poisson, entries, table)
 }
 
-/// Every chunk kernel must be bit-identical across walk-phase thread
+/// The batched walk engine must be bit-identical across walk-phase thread
 /// counts: the chunk decomposition and per-chunk RNG streams are pure
 /// functions of the master seed, and endpoint counts merge exactly.
 #[test]
-fn every_walk_kernel_bit_identical_across_thread_counts() {
+fn batched_walks_bit_identical_across_thread_counts() {
     let (g, poisson, entries, table) = walk_entry_fixture(2_000);
     let nr = 60_000u64;
-    for kernel in [
-        WalkKernel::Stepwise,
-        WalkKernel::Presampled,
-        WalkKernel::Lanes,
-    ] {
-        let mut base_counts = EpochCounter::new();
+    let run = |threads: usize| {
+        let mut counts = EpochCounter::new();
         let mut scratch = WalkScratch::default();
-        let base_steps = run_batched_walks_kernel(
+        let steps = run_batched_walks(
             &g,
             &poisson,
             &entries,
             &table,
             nr,
             77,
-            1,
-            kernel,
+            threads,
             None,
-            &mut base_counts,
+            &mut counts,
             &mut scratch,
         );
-        let mut base: Vec<(u32, u64)> = base_counts.iter().collect();
-        base.sort_unstable();
-        for threads in [2usize, 4] {
-            let mut counts = EpochCounter::new();
-            let mut scratch = WalkScratch::default();
-            let steps = run_batched_walks_kernel(
-                &g,
-                &poisson,
-                &entries,
-                &table,
-                nr,
-                77,
-                threads,
-                kernel,
-                None,
-                &mut counts,
-                &mut scratch,
-            );
-            assert_eq!(
-                steps, base_steps,
-                "{kernel:?}: steps diverge at {threads} threads"
-            );
-            let mut got: Vec<(u32, u64)> = counts.iter().collect();
-            got.sort_unstable();
-            assert_eq!(got, base, "{kernel:?}: counts diverge at {threads} threads");
-        }
+        let mut got: Vec<(u32, u64)> = counts.iter().collect();
+        got.sort_unstable();
+        (steps, got)
+    };
+    let (base_steps, base) = run(1);
+    for threads in [2usize, 4] {
+        let (steps, got) = run(threads);
+        assert_eq!(steps, base_steps, "steps diverge at {threads} threads");
+        assert_eq!(got, base, "counts diverge at {threads} threads");
     }
 }
 
-/// The presampling kernels consume different RNG streams than the
-/// stepwise baseline, so their outputs are different *samples* of the
-/// same distribution. On a real graph with a realistic entry mix the
-/// endpoint frequencies must agree within Monte-Carlo noise — the
-/// old-vs-new distribution-agreement gate of the kernel rewrite.
+/// The batched engine presamples walk lengths and picks neighbors from
+/// one `u32` draw, so it consumes a different RNG stream than the
+/// sequential `k_random_walk` (one stop draw plus one neighbor draw per
+/// step): their outputs are different *samples* of the same
+/// distribution. On a real graph with a realistic entry mix the endpoint
+/// frequencies must agree within Monte-Carlo noise.
 #[test]
-fn presampled_kernels_distribution_matches_stepwise_baseline() {
+fn batched_walks_distribution_matches_sequential_walks() {
     let (g, poisson, entries, table) = walk_entry_fixture(800);
     let nr = 300_000u64;
-    let run = |kernel: WalkKernel| -> Vec<f64> {
+    let batched: Vec<f64> = {
         let mut counts = EpochCounter::new();
         let mut scratch = WalkScratch::default();
-        run_batched_walks_kernel(
+        run_batched_walks(
             &g,
             &poisson,
             &entries,
@@ -478,7 +456,6 @@ fn presampled_kernels_distribution_matches_stepwise_baseline() {
             nr,
             5,
             2,
-            kernel,
             None,
             &mut counts,
             &mut scratch,
@@ -487,115 +464,49 @@ fn presampled_kernels_distribution_matches_stepwise_baseline() {
             .map(|v| counts.get(v) as f64 / nr as f64)
             .collect()
     };
-    let stepwise = run(WalkKernel::Stepwise);
-    for kernel in [WalkKernel::Presampled, WalkKernel::Lanes] {
-        let freq = run(kernel);
-        let mut total_var_dist = 0.0f64;
-        for v in 0..g.num_nodes() {
-            let diff = (freq[v] - stepwise[v]).abs();
-            // Per-node: two independent binomial estimates; 6 sigma.
-            let p = stepwise[v].max(freq[v]);
-            let sigma = (2.0 * p * (1.0 - p) / nr as f64).sqrt();
-            assert!(
-                diff <= 6.0 * sigma + 1e-4,
-                "{kernel:?} node {v}: |{} - {}| = {diff} > 6 sigma ({sigma})",
-                freq[v],
-                stepwise[v]
-            );
-            total_var_dist += diff;
+    // The sequential oracle: one alias sample, then one k-RandomWalk.
+    let sequential: Vec<f64> = {
+        let mut rng = SmallRng::seed_from_u64(6);
+        let mut counts = vec![0u64; g.num_nodes()];
+        for _ in 0..nr {
+            let (k, u) = entries[table.sample(&mut rng)];
+            let (end, _) = k_random_walk(&g, &poisson, u, k as usize, &mut rng);
+            counts[end as usize] += 1;
         }
-        // Aggregate: total variation distance between the two empirical
-        // distributions stays at sampling-noise scale. Two independent
-        // nr-sample estimates of the same distribution differ per node by
-        // E|diff| = sqrt(2 p(1-p)/nr) * sqrt(2/pi), so the expected TV is
-        // half the sum of those — assert within 3x of that analytic
-        // noise floor (a systematically wrong kernel, e.g. an off-by-one
-        // walk length, lands an order of magnitude above it).
-        let noise_floor: f64 = stepwise
-            .iter()
-            .map(|&p| (2.0 * p * (1.0 - p) / nr as f64).sqrt())
-            .sum::<f64>()
-            * (2.0 / std::f64::consts::PI).sqrt()
-            / 2.0;
+        counts.iter().map(|&c| c as f64 / nr as f64).collect()
+    };
+    let mut total_var_dist = 0.0f64;
+    for v in 0..g.num_nodes() {
+        let diff = (batched[v] - sequential[v]).abs();
+        // Per-node: two independent binomial estimates; 6 sigma.
+        let p = sequential[v].max(batched[v]);
+        let sigma = (2.0 * p * (1.0 - p) / nr as f64).sqrt();
         assert!(
-            total_var_dist / 2.0 < 3.0 * noise_floor.max(1e-3),
-            "{kernel:?}: TV distance {} above noise floor {noise_floor}",
-            total_var_dist / 2.0
+            diff <= 6.0 * sigma + 1e-4,
+            "node {v}: |{} - {}| = {diff} > 6 sigma ({sigma})",
+            batched[v],
+            sequential[v]
         );
+        total_var_dist += diff;
     }
-}
-
-/// The `simd` feature's vector kernels only replace order-free reductions
-/// (the condition-(11) residue max, the sweep membership count), so a
-/// SIMD build must reproduce the scalar build's push state and end-to-end
-/// estimates **bit for bit** — same support, same values, same
-/// condition-(11) decisions, at every thread count. Uses the runtime
-/// toggle so one binary A/Bs both kernels directly.
-#[cfg(feature = "simd")]
-mod simd_differential {
-    use super::*;
-    use hkpr_core::simd::set_simd_enabled;
-    use hkpr_core::tea_plus::tea_plus_in;
-
-    #[test]
-    fn push_plus_state_bit_identical_scalar_vs_simd() {
-        let mut gen_rng = SmallRng::seed_from_u64(29);
-        let g = holme_kim(1_200, 5, 0.4, &mut gen_rng).unwrap();
-        let p = PoissonTable::new(5.0);
-        let run = |enabled: bool| {
-            set_simd_enabled(enabled);
-            let mut ws = QueryWorkspace::new();
-            let cfg = PushPlusConfig {
-                hop_cap: 10,
-                eps_abs: 1e-5,
-                budget: u64::MAX,
-            };
-            let stats = hk_push_plus_ws(&g, &p, 0, &cfg, &mut ws);
-            let mut residues: Vec<(usize, u32, f64)> = ws.residues().entries().collect();
-            residues.sort_unstable_by_key(|&(k, v, _)| (k, v));
-            let mut reserve: Vec<(u32, f64)> = ws.reserve().iter_nonzero().collect();
-            reserve.sort_unstable_by_key(|&(v, _)| v);
-            set_simd_enabled(true);
-            (stats, residues, reserve)
-        };
-        let scalar = run(false);
-        let simd = run(true);
-        assert_eq!(scalar.0, simd.0, "push stats diverge");
-        assert_eq!(scalar.1, simd.1, "residues diverge");
-        assert_eq!(scalar.2, simd.2, "reserve diverges");
-    }
-
-    #[test]
-    fn tea_plus_bit_identical_scalar_vs_simd_across_thread_counts() {
-        let mut gen_rng = SmallRng::seed_from_u64(31);
-        let g = holme_kim(1_500, 5, 0.4, &mut gen_rng).unwrap();
-        let params = HkprParams::builder(&g)
-            .t(5.0)
-            .delta(5e-5)
-            .p_f(1e-3)
-            .build()
-            .unwrap();
-        for threads in [1usize, 2, 4] {
-            let run = |enabled: bool| {
-                set_simd_enabled(enabled);
-                let mut ws = QueryWorkspace::with_threads(threads);
-                let out =
-                    tea_plus_in(&g, &params, 3, &mut SmallRng::seed_from_u64(32), &mut ws).unwrap();
-                set_simd_enabled(true);
-                out
-            };
-            let scalar = run(false);
-            let simd = run(true);
-            assert_eq!(
-                scalar.stats, simd.stats,
-                "stats diverge at {threads} threads"
-            );
-            assert_eq!(scalar.estimate.nnz(), simd.estimate.nnz());
-            for (x, y) in scalar.estimate.support().zip(simd.estimate.support()) {
-                assert_eq!(x, y, "estimate diverges at {threads} threads");
-            }
-        }
-    }
+    // Aggregate: total variation distance between the two empirical
+    // distributions stays at sampling-noise scale. Two independent
+    // nr-sample estimates of the same distribution differ per node by
+    // E|diff| = sqrt(2 p(1-p)/nr) * sqrt(2/pi), so the expected TV is
+    // half the sum of those — assert within 3x of that analytic noise
+    // floor (a systematically wrong kernel, e.g. an off-by-one walk
+    // length, lands an order of magnitude above it).
+    let noise_floor: f64 = sequential
+        .iter()
+        .map(|&p| (2.0 * p * (1.0 - p) / nr as f64).sqrt())
+        .sum::<f64>()
+        * (2.0 / std::f64::consts::PI).sqrt()
+        / 2.0;
+    assert!(
+        total_var_dist / 2.0 < 3.0 * noise_floor.max(1e-3),
+        "TV distance {} above noise floor {noise_floor}",
+        total_var_dist / 2.0
+    );
 }
 
 #[test]

@@ -294,7 +294,7 @@ impl Graph {
     /// Start of `v`'s adjacency row in the flat neighbor array, plus its
     /// degree, in one call. The two loads are adjacent `usize`s
     /// (`offsets[v]`, `offsets[v+1]`), so a random access usually costs a
-    /// single cache line — the walk kernels carry the returned pair in
+    /// single cache line — the walk kernel carries the returned pair in
     /// registers instead of re-deriving it per step.
     #[inline]
     pub fn neighbor_row(&self, v: NodeId) -> (usize, u32) {
@@ -305,7 +305,7 @@ impl Graph {
     }
 
     /// Read the flat neighbor array at `i` without a bounds check — the
-    /// inner load of the lane walk kernel, whose index is proved in range
+    /// inner load of the batched walk kernel, whose index is proved in range
     /// by construction (`i = row_start + j` with `j < degree`, both from
     /// [`neighbor_row`](Self::neighbor_row)).
     ///
@@ -331,44 +331,6 @@ impl Graph {
         let start = *offs.get_unchecked(v);
         let end = *offs.get_unchecked(v + 1);
         (start, (end - start) as u32)
-    }
-
-    /// Hint the CPU to pull `v`'s offsets cache line (the input of the
-    /// next [`neighbor_row`](Self::neighbor_row) call) into L1. Paired
-    /// with [`prefetch_neighbor_row`](Self::prefetch_neighbor_row), this
-    /// covers both random loads of a walk step.
-    #[inline]
-    pub fn prefetch_node(&self, v: NodeId) {
-        #[cfg(target_arch = "x86_64")]
-        if (v as usize) < self.offsets.len {
-            // SAFETY: in-bounds pointer; prefetch has no other effect.
-            unsafe {
-                use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-                _mm_prefetch::<_MM_HINT_T0>(self.offs().as_ptr().add(v as usize) as *const i8);
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = v;
-    }
-
-    /// Hint the CPU to pull the cache line holding flat neighbor index
-    /// `row_start` (the head of an adjacency row) into L1. The lane walk
-    /// kernel issues this one step ahead of the row's use so the DRAM
-    /// latency of the random access overlaps the other lanes' work. A
-    /// no-op on architectures without a stable prefetch intrinsic, and
-    /// for out-of-range indices (degree-0 rows point at the array end).
-    #[inline]
-    pub fn prefetch_neighbor_row(&self, row_start: usize) {
-        #[cfg(target_arch = "x86_64")]
-        if row_start < self.neighbors.len {
-            // SAFETY: in-bounds pointer; prefetch has no other effect.
-            unsafe {
-                use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-                _mm_prefetch::<_MM_HINT_T0>(self.nbrs().as_ptr().add(row_start) as *const i8);
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = row_start;
     }
 
     /// Whether the undirected edge `{u, v}` exists. O(log min(d(u), d(v))).
@@ -598,12 +560,7 @@ mod tests {
                     g.neighbor_at(v, i)
                 );
             }
-            // Prefetching any valid row start (or the end sentinel of a
-            // trailing degree-0 node) must be a safe no-op.
-            g.prefetch_neighbor_row(start);
-            g.prefetch_node(v);
         }
-        g.prefetch_neighbor_row(g.volume());
     }
 
     #[test]

@@ -540,7 +540,7 @@ fn validate_v2(buf: &[u8]) -> Result<V2Layout, GraphError> {
 
     // Structural validation — the same guarantees the v1 parser enforces,
     // plus degree-array consistency. These are what make the unchecked
-    // accessors of the walk kernels sound on this graph.
+    // accessors of the walk kernel sound on this graph.
     let off_at = |i: usize| v2_u64(buf, off_range.start + i * 8);
     if off_at(0) != 0 {
         return Err(GraphError::Format("inconsistent offsets".into()));

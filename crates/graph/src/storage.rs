@@ -16,7 +16,7 @@
 //!   pages are touched and clean pages can be reclaimed under pressure.
 //!
 //! The backend is invisible to every `Graph` accessor: the hot paths
-//! (`degree`, `neighbor_row`, the walk kernels' unchecked loads) read
+//! (`degree`, `neighbor_row`, the walk kernel's unchecked loads) read
 //! through raw slice views resolved once at construction, so there is no
 //! per-access branch on the backend — identical codegen to the old
 //! three-`Box` layout.

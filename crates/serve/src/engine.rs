@@ -70,7 +70,7 @@ use std::time::{Duration, Instant};
 use hk_cluster::{ClusterResult, LocalClusterer, Method, QueryScratch};
 use hk_graph::{Graph, NodeId};
 use hkpr_core::fxhash::{FxHashMap, FxHasher};
-use hkpr_core::{AccuracyTier, CancelToken, HkprError, HkprParams, WalkKernel};
+use hkpr_core::{AccuracyTier, CancelToken, HkprError, HkprParams};
 
 use crate::cache::{
     CacheKey, CacheStats, FlightClaim, FlightResult, MethodKey, ParamsKey, ResultCache,
@@ -389,12 +389,6 @@ pub struct EngineConfig {
     /// TEA+ hop-cap constant `c` applied to every canonical parameter set
     /// (paper recommendation 2.5).
     pub hop_c: f64,
-    /// Walk kernel every worker's workspace runs
-    /// ([`hkpr_core::WalkKernel::Lanes`] by default). Part of the cache
-    /// identity: kernels consume the RNG stream differently, so a
-    /// `Presampled` engine (the sharded-conformance configuration) and a
-    /// `Lanes` engine sharing a cache never exchange results.
-    pub walk_kernel: WalkKernel,
 }
 
 impl Default for EngineConfig {
@@ -410,7 +404,6 @@ impl Default for EngineConfig {
             cache_bytes: 32 << 20,
             cache_shards: 16,
             hop_c: 2.5,
-            walk_kernel: WalkKernel::Lanes,
         }
     }
 }
@@ -801,17 +794,13 @@ struct SchedShared {
     /// Walk-phase threads per query; a worker rebuilds its scratch with
     /// this after containing a panic.
     walk_threads: usize,
-    /// Walk kernel every worker's workspace runs (cache-key relevant).
-    walk_kernel: WalkKernel,
 }
 
 impl SchedShared {
     /// A fresh per-worker scratch configured for this scheduler's walk
-    /// phase (thread fan-out + kernel).
+    /// phase thread fan-out.
     fn fresh_scratch(&self) -> QueryScratch {
-        let mut scratch = QueryScratch::with_threads(self.walk_threads);
-        scratch.workspace.set_walk_kernel(self.walk_kernel);
-        scratch
+        QueryScratch::with_threads(self.walk_threads)
     }
 }
 
@@ -873,7 +862,6 @@ impl Scheduler {
             admission: Mutex::new(FxHashMap::default()),
             worker_count,
             walk_threads: config.walk_threads.max(1),
-            walk_kernel: config.walk_kernel,
         });
         let workers = (0..worker_count)
             .map(|i| {
@@ -982,7 +970,6 @@ impl Scheduler {
             rng_seed: req.rng_seed,
             params: params_key,
             method: MethodKey::new(req.method),
-            kernel: crate::cache::kernel_tag(shared.walk_kernel),
         };
         // Hub store before the cache: precomputed answers are pinned (the
         // cache may have evicted them) and counted separately, so the
@@ -1601,31 +1588,6 @@ pub fn run_batch(
     rng_seed: u64,
     threads: usize,
 ) -> Vec<Result<ClusterResult, HkprError>> {
-    run_batch_with_kernel(
-        clusterer,
-        method,
-        seeds,
-        params,
-        rng_seed,
-        threads,
-        WalkKernel::Lanes,
-    )
-}
-
-/// [`run_batch`] with an explicit walk kernel on every worker's
-/// workspace. `WalkKernel::Lanes` reproduces `run_batch` exactly;
-/// `WalkKernel::Presampled` is the single-process conformance oracle for
-/// the sharded frontier-exchange path, which distributes the presampled
-/// chunk streams across processes.
-pub fn run_batch_with_kernel(
-    clusterer: &LocalClusterer<'_>,
-    method: Method,
-    seeds: &[NodeId],
-    params: &HkprParams,
-    rng_seed: u64,
-    threads: usize,
-    kernel: WalkKernel,
-) -> Vec<Result<ClusterResult, HkprError>> {
     let threads = threads.max(1).min(seeds.len().max(1));
     let next = AtomicUsize::new(0);
     let (tx, rx) = mpsc::channel::<(usize, Result<ClusterResult, HkprError>)>();
@@ -1633,7 +1595,6 @@ pub fn run_batch_with_kernel(
     // of (seed, params, rng_seed + index), so the schedule cannot show.
     let work = |tx: mpsc::Sender<(usize, Result<ClusterResult, HkprError>)>| {
         let mut scratch = QueryScratch::new();
-        scratch.workspace.set_walk_kernel(kernel);
         loop {
             let i = next.fetch_add(1, Ordering::Relaxed);
             if i >= seeds.len() {
@@ -1791,6 +1752,36 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, ServeError::Query(_)));
         assert_eq!(e.stats().errors, 1); // knob validation fails pre-queue
+    }
+
+    #[test]
+    fn knobs_breaking_derived_params_are_typed_errors_not_panics() {
+        // Positive, finite knobs pass the engine's own check yet can
+        // underflow eps_r * delta or overflow omega; they must come back
+        // as invalid parameters, not as a contained worker panic.
+        let me = crate::MultiEngine::new(crate::MultiEngineConfig {
+            engine: EngineConfig {
+                workers: 1,
+                ..EngineConfig::default()
+            },
+            ..crate::MultiEngineConfig::default()
+        });
+        me.registry().register_graph("g", graph());
+        for (method, eps_r, delta) in [
+            (Method::TeaPlus, 0.5, 5e-324),
+            (Method::Tea, 1e-160, 0.25),
+            (Method::Tea, 0.5, 1e-320),
+        ] {
+            let req = QueryRequest::new(0).method(method).knobs(Knobs {
+                eps_r,
+                delta: Some(delta),
+                ..Knobs::default()
+            });
+            match me.query("g", req) {
+                Err(ServeError::Query(HkprError::InvalidParameter(_))) => {}
+                other => panic!("{method:?} eps_r={eps_r:e} delta={delta:e}: got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -197,7 +197,7 @@ impl ShardCoordinator {
     }
 
     /// Run one TEA+ query across the fleet. Bitwise identical to the
-    /// single-process `Presampled` path for the same
+    /// single-process engine (`hk_serve::run_batch`) for the same
     /// `(seed, params, rng_seed)`.
     pub fn run_query(
         &mut self,

@@ -17,8 +17,9 @@
 //! coordinator's batched frontier-exchange rounds ship parked cursors to
 //! their owners until the phase runs dry. Because parking is RNG-neutral
 //! and endpoint counts are integers, the distributed result is **bitwise
-//! identical** to a single-process run with
-//! [`hkpr_core::WalkKernel::Presampled`] — for any shard count,
+//! identical** to what the single-process engine serves: the cursor
+//! engine mirrors the production walk kernel draw for draw, so a fleet
+//! answers exactly like `hk_serve::run_batch` — for any shard count,
 //! including `N = 1`.
 //!
 //! Process layout: `src/bin/hk_shardd.rs` is the shard daemon

@@ -22,7 +22,7 @@ use hk_gateway::frame::{read_frame, FrameLimits, FrameParser};
 use hk_graph::{Graph, NodePartition};
 use hkpr_core::{
     DriveOutcome, ExchangeSession, HkprError, HkprParams, ShardCursor, TeaPlusPrepared,
-    TeaPlusWalkJob, WalkKernel,
+    TeaPlusWalkJob,
 };
 
 use crate::proto::{
@@ -122,11 +122,8 @@ fn serve_conn(
 ) -> io::Result<ConnExit> {
     let clusterer = LocalClusterer::new(graph);
     let mut parser = FrameParser::new(FrameLimits::default());
-    // One scratch for the owner-side push/finalize work. The walk kernel
-    // matters: the sharded walk engine mirrors `Presampled`, and the
-    // kernel is part of the plan's RNG contract.
+    // One scratch for the owner-side push/finalize work.
     let mut scratch = QueryScratch::new();
-    scratch.workspace.set_walk_kernel(WalkKernel::Presampled);
     let mut pending: Option<Pending> = None;
 
     loop {

@@ -1,8 +1,9 @@
 //! End-to-end conformance of the sharded tier: a coordinator driving
 //! `N ∈ {1, 2, 4}` real `hk-shardd` processes over loopback TCP must
 //! produce answers **bitwise identical** to the single-process
-//! `Presampled` batch path on the same committed snapshot — same
-//! clusters, same conductance bits, same estimate bits, same stats.
+//! `run_batch` path — what the engine and gateway serve — on the same
+//! committed snapshot: same clusters, same conductance bits, same
+//! estimate bits, same stats.
 //!
 //! This is also the CI shard smoke: it spawns the actual daemon binary
 //! (via `CARGO_BIN_EXE_hk-shardd`), parses its readiness line, and
@@ -14,9 +15,9 @@ use std::process::{Child, Command, Stdio};
 
 use hk_cluster::{LocalClusterer, Method};
 use hk_graph::Graph;
-use hk_serve::run_batch_with_kernel;
+use hk_serve::run_batch;
 use hk_shard::{QueryKnobs, ShardCoordinator};
-use hkpr_core::{HkprParams, WalkKernel};
+use hkpr_core::HkprParams;
 
 const RNG_SEED: u64 = 11;
 
@@ -101,15 +102,7 @@ fn shard_fleets_match_single_process_bitwise() {
         .unwrap();
     let seeds = pick_seeds(&graph, &params, 5);
     let clusterer = LocalClusterer::new(&graph);
-    let oracle = run_batch_with_kernel(
-        &clusterer,
-        Method::TeaPlus,
-        &seeds,
-        &params,
-        RNG_SEED,
-        1,
-        WalkKernel::Presampled,
-    );
+    let oracle = run_batch(&clusterer, Method::TeaPlus, &seeds, &params, RNG_SEED, 1);
     // At least one seed must exercise the walk phase, or the exchange
     // protocol goes untested.
     assert!(
