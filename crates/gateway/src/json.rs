@@ -168,6 +168,28 @@ pub fn write_f64(out: &mut String, v: f64) {
     }
 }
 
+/// Write a non-negative integer exactly as `write_f64(v as f64)` would:
+/// a plain digit loop below 2^53, where `f64` is exact and `Display`
+/// prints the same digits, and the `f64` path at and above it, where the
+/// wire has always rounded.
+pub fn write_u64(out: &mut String, v: u64) {
+    if v >= 1 << 53 {
+        return write_f64(out, v as f64);
+    }
+    let mut digits = [0u8; 16];
+    let mut at = digits.len();
+    let mut rest = v;
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
 /// Write a JSON string literal with the mandatory escapes.
 pub fn write_str(out: &mut String, s: &str) {
     out.push('"');
@@ -434,11 +456,14 @@ impl Parser<'_> {
         }
         // The token is ASCII by construction; std's float parsing is
         // correctly rounded, so Display output round-trips bit-exactly.
+        // It saturates overflow to ±∞ rather than failing, and ∞ has no
+        // JSON form (the writer would send it back as `null`), so a
+        // non-finite result is rejected here. Underflow rounds to ±0.
         let token = std::str::from_utf8(&self.input[start..self.pos]).unwrap();
-        token
-            .parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.err("number out of range"))
+        match token.parse::<f64>() {
+            Ok(v) if v.is_finite() => Ok(Json::Num(v)),
+            _ => Err(self.err("number out of range")),
+        }
     }
 }
 
@@ -508,6 +533,48 @@ mod tests {
             b"\xff",
         ] {
             assert!(parse(bad).is_err(), "{:?} should fail", bad);
+        }
+    }
+
+    #[test]
+    fn overflowing_numbers_are_rejected_not_saturated() {
+        for bad in [&b"1e400"[..], b"-1e400", b"[1, 2e308]"] {
+            let err = parse(bad).unwrap_err();
+            assert_eq!(err.reason, "number out of range", "{bad:?}");
+        }
+        // Underflow is not out of range: it rounds to zero, sign kept.
+        assert_eq!(
+            parse(b"1e-400").unwrap().as_f64().map(f64::to_bits),
+            Some(0)
+        );
+        assert_eq!(
+            parse(b"-1e-400").unwrap().as_f64().map(f64::to_bits),
+            Some((-0.0f64).to_bits())
+        );
+        assert_eq!(
+            parse(b"1.7976931348623157e308").unwrap().as_f64(),
+            Some(f64::MAX)
+        );
+    }
+
+    #[test]
+    fn integer_writer_matches_the_f64_path() {
+        let cases = [
+            0,
+            1,
+            9,
+            10,
+            4_294_967_295,
+            (1 << 53) - 1,
+            1 << 53,
+            (1 << 53) + 1,
+            u64::MAX,
+        ];
+        for v in cases {
+            let (mut digits, mut float) = (String::new(), String::new());
+            write_u64(&mut digits, v);
+            write_f64(&mut float, v as f64);
+            assert_eq!(digits, float, "{v}");
         }
     }
 

@@ -573,33 +573,26 @@ fn handle_batch(
             graph.to_string(),
         )));
     }
+    let items: Vec<_> = tickets
+        .into_iter()
+        .zip(seeds)
+        .map(|(ticket, seed)| (seed, ticket.and_then(Ticket::wait)))
+        .collect();
     let mut any_degraded = false;
     let mut any_degraded_push = false;
     let mut any_error = false;
-    let items: Vec<Json> = tickets
-        .into_iter()
-        .zip(&seeds)
-        .map(|(ticket, &seed)| match ticket.and_then(Ticket::wait) {
+    for (_, item) in &items {
+        match item {
             Ok(resp) => {
                 if let Some(d) = &resp.degraded {
                     any_degraded = true;
                     any_degraded_push |=
                         d.achieved.push_tiers_completed < d.achieved.push_tiers_planned;
                 }
-                wire::response_json(graph, seed, &resp)
             }
-            Err(e) => {
-                any_error = true;
-                let (status, _, code) = wire::serve_error_parts(&e);
-                Json::Obj(vec![
-                    ("seed".into(), Json::Num(seed as f64)),
-                    ("status".into(), Json::Num(status as f64)),
-                    ("error".into(), Json::Str(code.into())),
-                    ("detail".into(), Json::Str(e.to_string())),
-                ])
-            }
-        })
-        .collect();
+            Err(_) => any_error = true,
+        }
+    }
     let class = if any_error {
         "error"
     } else if any_degraded_push {
@@ -609,12 +602,7 @@ fn handle_batch(
     } else {
         "miss"
     };
-    let text = Json::Obj(vec![
-        ("graph".into(), Json::Str(graph.into())),
-        ("items".into(), Json::Arr(items)),
-    ])
-    .render();
-    Ok((text, class))
+    Ok((wire::batch_body(graph, &items), class))
 }
 
 /// `GET /healthz` — `200` iff every configured scheduler worker is

@@ -185,6 +185,46 @@ fn error_taxonomy_over_the_wire() {
 }
 
 #[test]
+fn overflowing_number_is_an_invalid_body_not_an_infinite_knob() {
+    // 1e400 is beyond f64: the JSON layer rejects it instead of handing
+    // the engine t = inf (which its finite check would call a bad query).
+    let gw = start_gateway(demo_engine());
+    let (status, body) = roundtrip(
+        &gw,
+        &post("/query/demo", r#"{"seed":1,"knobs":{"t":1e400}}"#),
+    );
+    assert_eq!(status, 400, "{body}");
+    let parsed = json::parse(body.as_bytes()).unwrap();
+    assert_eq!(
+        parsed.get("error").and_then(Json::as_str),
+        Some("invalid_body"),
+        "{body}"
+    );
+    let detail = parsed.get("detail").and_then(Json::as_str).unwrap();
+    assert!(detail.contains("number out of range"), "{detail}");
+}
+
+#[test]
+fn malformed_deadline_header_is_an_invalid_deadline() {
+    let gw = start_gateway(demo_engine());
+    for value in ["0", "soon", "-5"] {
+        let body = r#"{"seed": 1}"#;
+        let request = format!(
+            "POST /query/demo HTTP/1.1\r\nHost: t\r\nX-Deadline-Ms: {value}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+            body.len()
+        );
+        let (status, text) = roundtrip(&gw, &request);
+        assert_eq!(status, 400, "{text}");
+        let parsed = json::parse(text.as_bytes()).unwrap();
+        assert_eq!(
+            parsed.get("error").and_then(Json::as_str),
+            Some("invalid_deadline"),
+            "{text}"
+        );
+    }
+}
+
+#[test]
 fn immediate_deadline_is_a_408_shed() {
     let gw = start_gateway(demo_engine());
     // A heavy request (enormous walk budget), so the 1ms deadline
